@@ -174,10 +174,9 @@ impl BridgedInterconnect {
     /// re-registered so the calendar never sleeps past the new work.
     pub fn append_commands(&mut self, ordinal: usize, tail: &[noc_protocols::SocketCommand]) {
         let master = &mut self.masters[ordinal];
-        master.fe.append_commands(tail);
+        master.fe.append_commands(tail, self.now);
         if ordinal < self.wakes.len() {
-            let idle = master.fe.idle_ticks();
-            let at = (idle != u64::MAX).then(|| self.now.saturating_add(idle));
+            let at = master.fe.wake_at().map(|t| t.max(self.now));
             self.cal.set(self.wakes[ordinal], at);
         }
         // Before the first step the calendar is cold and next_activity
@@ -216,7 +215,7 @@ impl BridgedInterconnect {
     }
 
     /// Re-registers every event source's wakeup after a step. Id layout:
-    /// masters `0..M` (idle countdowns expiring), `M + b` the front
+    /// masters `0..M` (their wake cycles), `M + b` the front
     /// sub-request of bridge `b` (its service time), `M + B + b` the
     /// oldest in-flight parent of bridge `b` (its response delivery).
     /// [`Calendar::set`] no-ops on unchanged cycles, so a step that
@@ -229,9 +228,8 @@ impl BridgedInterconnect {
         let mcount = self.masters.len();
         let bcount = self.bridges.len();
         for (m, master) in self.masters.iter().enumerate() {
-            let idle = master.fe.idle_ticks();
-            let at = (idle != u64::MAX).then(|| now.saturating_add(idle));
-            self.cal.set(self.wakes[m], at);
+            self.cal
+                .set(self.wakes[m], master.fe.wake_at().map(|t| t.max(now)));
         }
         for (b, bridge) in self.bridges.iter().enumerate() {
             let front = bridge.subs.front().map(|front| {
@@ -540,8 +538,8 @@ impl Interconnect for BridgedInterconnect {
 
     /// The true event horizon of the bridged pipeline — in-flight
     /// traffic no longer forces dense stepping. Every event source
-    /// ([`BridgedInterconnect::refresh_calendar`]: master idle
-    /// countdowns, per-bridge front sub-request service times,
+    /// ([`BridgedInterconnect::refresh_calendar`]: master wake
+    /// cycles, per-bridge front sub-request service times,
     /// per-bridge oldest-parent response deliveries) re-registers its
     /// wakeup after each step, so the answer is a calendar peek, not a
     /// scan. Stale entries are early, never late; an early wakeup costs
@@ -553,7 +551,7 @@ impl Interconnect for BridgedInterconnect {
         if self.steps == 0 {
             let mut horizon = Horizon::new();
             for m in &self.masters {
-                horizon.merge_idle_ticks(self.now, m.fe.idle_ticks());
+                horizon.merge(m.fe.wake_at());
             }
             // Sub-requests and in-flight parents only exist once
             // stepping has started, so masters are the only cold source.
@@ -571,10 +569,6 @@ impl Interconnect for BridgedInterconnect {
     }
 
     fn skip_to(&mut self, target: u64) {
-        let ticks = target - self.now;
-        for m in &mut self.masters {
-            m.fe.skip_ticks(ticks);
-        }
         self.now = target;
     }
 }

@@ -55,7 +55,7 @@ pub struct SharedBus {
     now: u64,
     steps: u64,
     granted: u64,
-    /// Wakeup calendar: ids `0..M` are the masters' idle countdowns,
+    /// Wakeup calendar: ids `0..M` are the masters' wake cycles,
     /// id `M` the in-service transaction's completion cycle. Every
     /// source re-registers after each step ([`Calendar::set`] no-ops on
     /// unchanged cycles), so `next_activity` is a peek, not a scan.
@@ -121,10 +121,9 @@ impl SharedBus {
     /// re-registered so the calendar never sleeps past the new work.
     pub fn append_commands(&mut self, ordinal: usize, tail: &[noc_protocols::SocketCommand]) {
         let master = &mut self.masters[ordinal];
-        master.fe.append_commands(tail);
+        master.fe.append_commands(tail, self.now);
         if ordinal < self.wakes.len() {
-            let idle = master.fe.idle_ticks();
-            let at = (idle != u64::MAX).then(|| self.now.saturating_add(idle));
+            let at = master.fe.wake_at().map(|t| t.max(self.now));
             self.cal.set(self.wakes[ordinal], at);
         }
         // Before the first step the calendar is cold and next_activity
@@ -166,9 +165,8 @@ impl SharedBus {
     fn refresh_calendar(&mut self) {
         let now = self.now;
         for (m, master) in self.masters.iter().enumerate() {
-            let idle = master.fe.idle_ticks();
-            let at = (idle != u64::MAX).then(|| now.saturating_add(idle));
-            self.cal.set(self.wakes[m], at);
+            self.cal
+                .set(self.wakes[m], master.fe.wake_at().map(|t| t.max(now)));
         }
         let busy_at = self.busy.as_ref().map(|&(_, _, done_at)| done_at);
         self.cal.set(self.wakes[self.masters.len()], busy_at);
@@ -332,7 +330,7 @@ impl Interconnect for SharedBus {
         self.steps
     }
 
-    /// The nearest master self-activity (idle countdowns expiring) or
+    /// The nearest master self-activity (a master's wake cycle) or
     /// the in-service transaction completing (`done_at`), whichever
     /// comes first — answered from the wakeup calendar once stepping
     /// has started. Before the first step the calendar is cold (masters
@@ -343,7 +341,7 @@ impl Interconnect for SharedBus {
         if self.steps == 0 {
             let mut horizon = Horizon::new();
             for m in &self.masters {
-                horizon.merge_idle_ticks(self.now, m.fe.idle_ticks());
+                horizon.merge(m.fe.wake_at());
             }
             if let Some((_, _, done_at)) = self.busy {
                 horizon.merge_at(done_at);
@@ -362,10 +360,6 @@ impl Interconnect for SharedBus {
     }
 
     fn skip_to(&mut self, target: u64) {
-        let ticks = target - self.now;
-        for m in &mut self.masters {
-            m.fe.skip_ticks(ticks);
-        }
         self.now = target;
     }
 }

@@ -70,10 +70,9 @@ pub trait Interconnect {
         0
     }
 
-    /// Jumps to `target`, accounting the skipped cycles so state stays
-    /// bit-identical to stepping them. Only meaningful when
-    /// [`Interconnect::next_activity`] proved every cycle in
-    /// `[now, target)` dead; the default (matching the default
+    /// Jumps to `target` across cycles [`Interconnect::next_activity`]
+    /// proved dead. Backends whose components keep absolute deadlines
+    /// just set `now`; the default (matching the default
     /// `next_activity`, which never yields a future cycle) steps
     /// densely.
     fn skip_to(&mut self, target: u64) {

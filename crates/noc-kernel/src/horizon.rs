@@ -56,19 +56,6 @@ impl Horizon {
         self.merge(Some(cycle));
     }
 
-    /// Folds in a component's idle-tick countdown as used across the
-    /// workspace: `idle` upcoming ticks are provably no-ops, so its next
-    /// possible action is at `now + idle` — except the `u64::MAX`
-    /// sentinel, which means "no tick-based claim; quiescent until some
-    /// other event" and constrains nothing. Keeping the sentinel
-    /// convention here stops the backends hand-rolling (and diverging
-    /// on) it.
-    pub fn merge_idle_ticks(&mut self, now: u64, idle: u64) {
-        if idle != u64::MAX {
-            self.merge_at(now.saturating_add(idle));
-        }
-    }
-
     /// The earliest merged event, if any component reported one.
     pub fn earliest(&self) -> Option<u64> {
         self.0
@@ -128,14 +115,17 @@ mod tests {
     }
 
     #[test]
-    fn idle_ticks_sentinel_constrains_nothing() {
+    fn absent_wake_constrains_nothing() {
+        // A component with no wake cycle (quiescent until input) never
+        // schedules anything, and a wake at the far end of time stays
+        // there instead of wrapping.
         let mut h = Horizon::new();
-        h.merge_idle_ticks(100, u64::MAX);
-        assert_eq!(h.earliest(), None);
-        h.merge_idle_ticks(100, 7);
-        assert_eq!(h.earliest(), Some(107));
-        h.merge_idle_ticks(u64::MAX, 7); // saturates instead of wrapping
-        assert_eq!(h.earliest(), Some(107));
+        h.merge(None);
+        assert_eq!(h.earliest_from(100), None);
+        h.merge(Some(u64::MAX));
+        assert_eq!(h.earliest_from(100), Some(u64::MAX));
+        h.merge(Some(107));
+        assert_eq!(h.earliest_from(100), Some(107));
     }
 
     #[test]

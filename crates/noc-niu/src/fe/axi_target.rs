@@ -133,7 +133,7 @@ impl SocketTarget for AxiTargetFe {
         self.out.pop_front()
     }
 
-    fn idle_ticks(&self) -> u64 {
+    fn wake_at(&self) -> Option<u64> {
         // The pending FIFOs mirror the slave's in-service set, so with
         // them and every buffer drained the slave tick has nothing to
         // accept or emit: a pure no-op until a new request arrives.
@@ -144,10 +144,6 @@ impl SocketTarget for AxiTargetFe {
             && self.port.aw.is_empty()
             && self.port.r.is_empty()
             && self.port.b.is_empty();
-        if empty {
-            u64::MAX
-        } else {
-            0
-        }
+        (!empty).then_some(0)
     }
 }

@@ -68,23 +68,23 @@ impl SocketInitiator for OcpInitiator {
         self.master.log()
     }
 
-    fn idle_ticks(&self) -> u64 {
+    fn wake_at(&self) -> Option<u64> {
         if !self.resp_queue.is_empty() || self.port.req.valid() || self.port.resp.valid() {
-            return 0; // buffered traffic keeps the front end hot
+            return Some(0); // buffered traffic keeps the front end hot
         }
-        self.master.idle_ticks()
+        self.master.wake_at()
     }
 
-    fn skip_ticks(&mut self, ticks: u64) {
-        self.master.skip_ticks(ticks);
+    fn set_clock_period(&mut self, period: u64) {
+        self.master.set_clock_period(period);
     }
 
     fn load_program(&mut self, program: Program) {
         self.master.load_program(program);
     }
 
-    fn append_commands(&mut self, tail: &[noc_protocols::SocketCommand]) {
-        self.master.append_commands(tail);
+    fn append_commands(&mut self, tail: &[noc_protocols::SocketCommand], now: u64) {
+        self.master.append_commands(tail, now);
     }
 
     fn clone_box(&self) -> Box<dyn SocketInitiator> {

@@ -34,16 +34,19 @@ pub trait SocketInitiator: Send {
     fn done(&self) -> bool;
     /// The socket's completion log (for statistics and fingerprints).
     fn log(&self) -> &CompletionLog;
-    /// Quiescence hook: upcoming ticks that are provably no-ops absent
-    /// new responses (`0` = must tick densely, the conservative
-    /// default; `u64::MAX` = quiescent until input). See
-    /// [`crate::NocEndpoint::idle_ticks`] for the contract.
-    fn idle_ticks(&self) -> u64 {
-        0
+    /// The earliest base cycle at which the front end can change state
+    /// absent new responses, `None` when quiescent until input — the
+    /// [`crate::NocEndpoint::wake_at`] contract. Defaults to `Some(0)`
+    /// (tick densely).
+    fn wake_at(&self) -> Option<u64> {
+        Some(0)
     }
-    /// Accounts `ticks` skipped no-op ticks (see
-    /// [`crate::NocEndpoint::skip_ticks`]).
-    fn skip_ticks(&mut self, _ticks: u64) {}
+    /// Sets the socket clock: the front end ticks every `period` base
+    /// cycles (see [`crate::NocEndpoint::set_clock`]). Front ends that
+    /// report no deadlines ignore it.
+    fn set_clock_period(&mut self, period: u64) {
+        let _ = period;
+    }
     /// Replaces the socket's program before execution starts (see the
     /// per-master `load_program` methods for the contract). Warm-state
     /// forking loads real workloads into checkpointed programless front
@@ -53,10 +56,12 @@ pub trait SocketInitiator: Send {
     ///
     /// Panics if the socket already issued or completed a command.
     fn load_program(&mut self, program: Program);
-    /// Appends commands to the end of the socket's program, mid-run.
-    /// While the socket still has unissued commands, the append instant
-    /// is unobservable — the run is bit-identical to constructing the
-    /// master with the full program up front. Feeding layers stream
+    /// Appends commands to the end of the socket's program at base cycle
+    /// `now`, mid-run. While the socket still has unissued commands, the
+    /// append instant is unobservable — the run is bit-identical to
+    /// constructing the master with the full program up front (a
+    /// drained socket starts counting the new head down on its next
+    /// tick after `now`). Feeding layers stream
     /// unbounded workloads (traces, generated storms) through this hook,
     /// and the master reclaims its fully-retired prefix on each call.
     ///
@@ -64,7 +69,7 @@ pub trait SocketInitiator: Send {
     ///
     /// Panics if a command violates the socket's constraints (stream
     /// beyond the thread count, opcodes the socket cannot express, …).
-    fn append_commands(&mut self, tail: &[noc_protocols::SocketCommand]);
+    fn append_commands(&mut self, tail: &[noc_protocols::SocketCommand], now: u64);
     /// Clones the front end behind the object-safe interface, enabling
     /// `Clone` for `Box<dyn SocketInitiator>` and therefore snapshots of
     /// whole simulations.
@@ -387,24 +392,19 @@ impl<FE: SocketInitiator> InitiatorNiu<FE> {
             && self.egress.is_empty()
     }
 
-    /// Quiescence: upcoming local ticks that are provably no-ops absent
-    /// incoming flits. With a stalled request or queued egress flits the
-    /// NIU must tick densely (the stall retries and the flits inject
-    /// every cycle); otherwise the horizon is whatever the socket front
-    /// end reports. Outstanding transactions alone do *not* force dense
-    /// ticking — a front end waiting on responses reports its own
-    /// quiescence, and the wait is the fabric's and target's business,
-    /// tracked by their horizons.
-    pub fn idle_ticks(&self) -> u64 {
+    /// The earliest base cycle at which the NIU can change state absent
+    /// incoming flits (the [`crate::NocEndpoint::wake_at`] contract).
+    /// With a stalled request or queued egress flits the NIU must tick
+    /// densely (the stall retries and the flits inject every cycle);
+    /// otherwise it is whatever the socket front end reports.
+    /// Outstanding transactions alone do *not* force dense ticking — a
+    /// front end waiting on responses reports its own quiescence, and
+    /// the wait is the fabric's and target's business.
+    pub fn wake_at(&self) -> Option<u64> {
         if self.pending.is_some() || !self.egress.is_empty() {
-            return 0;
+            return Some(0);
         }
-        self.fe.idle_ticks()
-    }
-
-    /// Accounts skipped no-op ticks (forwarded to the front end).
-    pub fn skip_ticks(&mut self, ticks: u64) {
-        self.fe.skip_ticks(ticks);
+        self.fe.wake_at()
     }
 }
 
@@ -427,17 +427,17 @@ impl<FE: SocketInitiator + Clone + 'static> crate::NocEndpoint for InitiatorNiu<
     fn completion_log(&self) -> Option<&noc_protocols::CompletionLog> {
         Some(self.fe.log())
     }
-    fn idle_ticks(&self) -> u64 {
-        InitiatorNiu::idle_ticks(self)
+    fn wake_at(&self) -> Option<u64> {
+        InitiatorNiu::wake_at(self)
     }
-    fn skip_ticks(&mut self, ticks: u64) {
-        InitiatorNiu::skip_ticks(self, ticks);
+    fn set_clock(&mut self, clock: noc_kernel::ClockDomain) {
+        self.fe.set_clock_period(clock.divisor());
     }
     fn load_program(&mut self, program: Program) {
         self.fe.load_program(program);
     }
-    fn append_commands(&mut self, tail: &[noc_protocols::SocketCommand]) {
-        self.fe.append_commands(tail);
+    fn append_commands(&mut self, tail: &[noc_protocols::SocketCommand], now: u64) {
+        self.fe.append_commands(tail, now);
     }
     fn clone_box(&self) -> Box<dyn crate::NocEndpoint> {
         Box::new(self.clone())

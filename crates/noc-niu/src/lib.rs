@@ -31,6 +31,7 @@ pub use codec::{decode_request, decode_response, encode_request, encode_response
 pub use initiator::{InitiatorNiu, InitiatorNiuConfig, NiuStats, SocketInitiator};
 pub use target::{MemoryTarget, ServiceTarget, SocketTarget, TargetNiu, TargetNiuConfig};
 
+use noc_kernel::ClockDomain;
 use noc_transaction::{TransactionRequest, TransactionResponse};
 
 /// Object-safe endpoint view used by the system assembler: everything a
@@ -56,39 +57,26 @@ pub trait NocEndpoint: Send {
     fn completion_log(&self) -> Option<&noc_protocols::CompletionLog> {
         None
     }
-    /// Quiescence hook: the number of immediately upcoming *local-clock*
-    /// ticks that are provably no-ops, provided no flit is pushed to the
-    /// endpoint meanwhile. `0` (the conservative default) means the
-    /// endpoint must be ticked densely; `u64::MAX` means it is quiescent
-    /// until new input arrives. Callers that skip ticks must account
-    /// them through [`NocEndpoint::skip_ticks`] and resume dense ticking
-    /// as soon as any input reaches the endpoint.
-    fn idle_ticks(&self) -> u64 {
-        0
+    /// The single dead-time contract: the earliest *base* cycle at
+    /// which the endpoint can change state if no flit is pushed into it
+    /// meanwhile, or `None` when it is quiescent until input. Every
+    /// local tick strictly before that cycle is a provable no-op, so a
+    /// caller may jump straight to it — the answer is absolute, so it
+    /// stays valid however far the caller jumps and needs no
+    /// accounting for the skipped ticks. A cycle at or before the
+    /// current one means "tick on the next clock edge": endpoints with
+    /// buffered work answer `Some(0)`, which is also the conservative
+    /// default. Callers re-query after every tick that touched the
+    /// endpoint and after every pushed flit.
+    fn wake_at(&self) -> Option<u64> {
+        Some(0)
     }
-    /// Accounts `ticks` local-clock ticks skipped under the
-    /// [`NocEndpoint::idle_ticks`] contract: afterwards the endpoint is
-    /// in exactly the state that many dense no-op ticks would have left
-    /// it in.
-    fn skip_ticks(&mut self, _ticks: u64) {}
-    /// Absolute-time refinement of [`NocEndpoint::idle_ticks`]: when the
-    /// endpoint's next self-activity is pinned to a *base cycle* rather
-    /// than a count of local ticks — a memory service completing at a
-    /// known cycle — it reports that cycle here, and every local tick
-    /// strictly before it is provably a no-op (absent incoming flits).
-    /// `None` (the default) makes no absolute claim;
-    /// [`NocEndpoint::idle_ticks`] alone governs.
-    ///
-    /// Combining rule for callers: a `u64::MAX` from `idle_ticks` is the
-    /// *no-tick-based-claim* sentinel, not a proof of eternal deadness —
-    /// an endpoint may return it together with `ready_at = Some(r)`
-    /// precisely because its wake-up is time-pinned, not tick-counted
-    /// (so `max`-ing the sentinel against `r` would skip past the event
-    /// forever). When *both* hooks make real claims (finite ticks and
-    /// `Some(r)`), each independently proves its prefix dead and the
-    /// endpoint's next possible action is at the later bound.
-    fn ready_at(&self) -> Option<u64> {
-        None
+    /// Binds the endpoint to its clock domain, so deadlines it counts in
+    /// local ticks land on the right base cycles. The system assembler
+    /// calls this once, before execution starts; endpoints that count
+    /// no local ticks ignore it.
+    fn set_clock(&mut self, clock: ClockDomain) {
+        let _ = clock;
     }
     /// Replaces the program of an initiator endpoint's socket before
     /// execution starts (warm-state forking). Target endpoints never
@@ -102,15 +90,15 @@ pub trait NocEndpoint: Send {
         panic!("this endpoint does not execute a socket program");
     }
     /// Appends commands to the end of an initiator endpoint's socket
-    /// program, mid-run (see
+    /// program at base cycle `now`, mid-run (see
     /// [`SocketInitiator::append_commands`](crate::initiator::SocketInitiator::append_commands)).
     /// Target endpoints never receive this call.
     ///
     /// # Panics
     ///
     /// Panics by default: only initiator endpoints execute programs.
-    fn append_commands(&mut self, tail: &[noc_protocols::SocketCommand]) {
-        let _ = tail;
+    fn append_commands(&mut self, tail: &[noc_protocols::SocketCommand], now: u64) {
+        let _ = (tail, now);
         panic!("this endpoint does not execute a socket program");
     }
     /// Clones the endpoint behind the object-safe interface, enabling

@@ -29,23 +29,14 @@ pub trait SocketTarget: Send {
     /// Takes the next completed response (with `dst`, `origin`, `tag`
     /// echoed from the request).
     fn pull_response(&mut self) -> Option<TransactionResponse>;
-    /// Quiescence hook: upcoming ticks that are provably no-ops absent
-    /// new requests (`0` = must tick densely, the conservative default;
-    /// `u64::MAX` = quiescent until input). See
-    /// [`crate::NocEndpoint::idle_ticks`] for the contract.
-    fn idle_ticks(&self) -> u64 {
-        0
-    }
-    /// Accounts `ticks` skipped no-op ticks (see
-    /// [`crate::NocEndpoint::skip_ticks`]).
-    fn skip_ticks(&mut self, _ticks: u64) {}
-    /// The base cycle at which the earliest in-service access completes
-    /// (its response becomes pullable), for targets that stamp absolute
-    /// ready times. `None` when nothing is in service *or* the target
-    /// cannot bound completion — callers then fall back to
-    /// [`SocketTarget::idle_ticks`].
-    fn next_ready_at(&self) -> Option<u64> {
-        None
+    /// The earliest base cycle at which the target can change state
+    /// absent new requests, `None` when quiescent until input — the
+    /// [`crate::NocEndpoint::wake_at`] contract. Targets that stamp
+    /// absolute ready times report their earliest in-service
+    /// completion, so the service-latency window is dead time. Defaults
+    /// to `Some(0)` (tick densely).
+    fn wake_at(&self) -> Option<u64> {
+        Some(0)
     }
 }
 
@@ -317,44 +308,20 @@ impl<T: SocketTarget> TargetNiu<T> {
         self.ingress.is_empty() && self.inflight.is_empty() && self.egress.is_empty()
     }
 
-    /// Quiescence: with queued requests or undrained egress the NIU must
-    /// tick densely (ingress heads arbitrate locks and count stall
-    /// cycles; egress flits inject). With *only* IP-side service in
-    /// flight, ticking is a no-op until the IP's next completion — which
-    /// [`TargetNiu::ready_at`] pins to a base cycle when the IP can, so
-    /// the service-latency window is skippable instead of forcing dense
-    /// ticking for the whole transaction. A held legacy lock is pure
-    /// state — it only matters once a request arrives, which resumes
-    /// dense ticking.
-    pub fn idle_ticks(&self) -> u64 {
+    /// The earliest base cycle at which the NIU can change state absent
+    /// incoming flits (the [`crate::NocEndpoint::wake_at`] contract).
+    /// With queued requests or undrained egress the NIU must tick
+    /// densely (ingress heads arbitrate locks and count stall cycles;
+    /// egress flits inject). Otherwise ticking is a no-op until the IP's
+    /// next completion, which memory-like IPs pin to a base cycle — so
+    /// the service-latency window is skipped instead of ticked. A held
+    /// legacy lock is pure state: it only matters once a request
+    /// arrives, which resumes dense ticking.
+    pub fn wake_at(&self) -> Option<u64> {
         if !self.ingress.is_empty() || !self.egress.is_empty() {
-            return 0;
+            return Some(0);
         }
-        if self.inflight.is_empty() {
-            return self.target.idle_ticks();
-        }
-        // Waiting on the IP only: quiescent until the absolute ready
-        // cycle when the IP stamps one, dense otherwise.
-        if self.target.next_ready_at().is_some() {
-            u64::MAX
-        } else {
-            self.target.idle_ticks()
-        }
-    }
-
-    /// Absolute-time refinement (see [`crate::NocEndpoint::ready_at`]):
-    /// the IP's next completion cycle, valid only while nothing is
-    /// queued on the NoC side of the NIU.
-    pub fn ready_at(&self) -> Option<u64> {
-        if !self.ingress.is_empty() || !self.egress.is_empty() {
-            return None;
-        }
-        self.target.next_ready_at()
-    }
-
-    /// Accounts skipped no-op ticks (forwarded to the IP front end).
-    pub fn skip_ticks(&mut self, ticks: u64) {
-        self.target.skip_ticks(ticks);
+        self.target.wake_at()
     }
 }
 
@@ -374,14 +341,8 @@ impl<T: SocketTarget + Clone + 'static> crate::NocEndpoint for TargetNiu<T> {
     fn is_done(&self) -> bool {
         TargetNiu::is_done(self)
     }
-    fn idle_ticks(&self) -> u64 {
-        TargetNiu::idle_ticks(self)
-    }
-    fn skip_ticks(&mut self, ticks: u64) {
-        TargetNiu::skip_ticks(self, ticks);
-    }
-    fn ready_at(&self) -> Option<u64> {
-        TargetNiu::ready_at(self)
+    fn wake_at(&self) -> Option<u64> {
+        TargetNiu::wake_at(self)
     }
     fn clone_box(&self) -> Box<dyn crate::NocEndpoint> {
         Box::new(self.clone())
@@ -427,10 +388,6 @@ impl ReadyQueue {
 
     fn len(&self) -> usize {
         self.pending.len()
-    }
-
-    fn is_empty(&self) -> bool {
-        self.pending.is_empty()
     }
 }
 
@@ -493,19 +450,11 @@ impl SocketTarget for MemoryTarget {
         self.pending.pull(self.now)
     }
 
-    fn idle_ticks(&self) -> u64 {
-        // The tick only latches the (absolute) current cycle, so an empty
-        // memory is quiescent until the next request arrives.
-        if self.pending.is_empty() {
-            u64::MAX
-        } else {
-            0
-        }
-    }
-
-    fn next_ready_at(&self) -> Option<u64> {
-        // Every in-service access carries an absolute ready stamp, so
-        // the latency window is dead time the caller may skip.
+    fn wake_at(&self) -> Option<u64> {
+        // The tick only latches the (absolute) current cycle and every
+        // in-service access carries an absolute ready stamp: the latency
+        // window is dead time, and an empty memory is quiescent until
+        // the next request arrives.
         self.pending.next_ready()
     }
 }
@@ -591,18 +540,10 @@ impl SocketTarget for ServiceTarget {
         self.pending.pull(self.now)
     }
 
-    fn idle_ticks(&self) -> u64 {
+    fn wake_at(&self) -> Option<u64> {
         // `busy_until` compares against the absolute cycle latched by the
         // next tick, so an empty block is quiescent until new input; the
         // NIU resumes dense ticking the moment a request arrives.
-        if self.pending.is_empty() {
-            u64::MAX
-        } else {
-            0
-        }
-    }
-
-    fn next_ready_at(&self) -> Option<u64> {
         self.pending.next_ready()
     }
 }

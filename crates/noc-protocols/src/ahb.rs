@@ -93,7 +93,12 @@ impl Default for AhbPort {
 pub struct AhbMaster {
     program: ProgramTail,
     pc: usize,
-    wait: Option<u32>,
+    /// Base cycle at which the head command's `delay_before` countdown
+    /// runs out; `None` while the head cannot count down (drained, or
+    /// waiting on the outstanding transfer).
+    issue_at: Option<u64>,
+    /// Base cycles per socket tick.
+    period: u64,
     outstanding: Option<(usize, u64)>,
     locked: bool,
     log: CompletionLog,
@@ -102,14 +107,46 @@ pub struct AhbMaster {
 impl AhbMaster {
     /// Creates a master that will execute `program`.
     pub fn new(program: Program) -> Self {
-        AhbMaster {
+        let mut master = AhbMaster {
             program: ProgramTail::new(program),
             pc: 0,
-            wait: None,
+            issue_at: None,
+            period: 1,
             outstanding: None,
             locked: false,
             log: CompletionLog::new(),
+        };
+        master.arm(0);
+        master
+    }
+
+    /// Sets the socket clock: the master ticks on multiples of `period`
+    /// base cycles, so a `delay_before` of `n` ticks spans `n * period`
+    /// base cycles.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the master already issued or completed a command.
+    pub fn set_clock_period(&mut self, period: u64) {
+        assert!(period > 0, "clock period must be non-zero");
+        assert!(
+            self.pc == 0 && self.outstanding.is_none() && self.log.is_empty(),
+            "the clock can only be set before execution starts"
+        );
+        self.period = period;
+        self.issue_at = None;
+        self.arm(0);
+    }
+
+    /// Starts the head command's countdown on the tick at base cycle
+    /// `tick`, unless it already runs or the head cannot count down.
+    /// Returns the head's issue cycle.
+    fn arm(&mut self, tick: u64) -> Option<u64> {
+        if self.outstanding.is_some() || self.pc >= self.program.len() {
+            return None;
         }
+        let delay = self.program.get(self.pc).delay_before as u64;
+        Some(*self.issue_at.get_or_insert(tick + delay * self.period))
     }
 
     /// Appends commands to the end of the program, mid-run. As long as
@@ -118,11 +155,14 @@ impl AhbMaster {
     /// unobservable: the run is bit-identical to constructing the master
     /// with the full program up front. Feeding layers rely on that to
     /// stream unbounded workloads through a bounded window; the
-    /// fully-retired prefix is reclaimed on each call.
-    pub fn append_commands(&mut self, tail: &[SocketCommand]) {
+    /// fully-retired prefix is reclaimed on each call. `now` is the
+    /// current base cycle: a drained master starts counting down the
+    /// new head on its next tick.
+    pub fn append_commands(&mut self, tail: &[SocketCommand], now: u64) {
         for cmd in tail {
             self.program.push(cmd.clone());
         }
+        self.arm(now.next_multiple_of(self.period));
         let live = self
             .outstanding
             .map_or(self.pc, |(idx, _)| idx.min(self.pc));
@@ -141,7 +181,9 @@ impl AhbMaster {
             self.pc == 0 && self.outstanding.is_none() && self.log.is_empty(),
             "programs can only be loaded before execution starts"
         );
+        let period = self.period;
         *self = AhbMaster::new(program);
+        self.set_clock_period(period);
     }
 
     /// Returns `true` when every command has completed.
@@ -159,34 +201,12 @@ impl AhbMaster {
         self.locked
     }
 
-    /// Number of immediately upcoming socket ticks that are provably
-    /// no-ops, assuming no response reaches the port meanwhile.
-    /// `u64::MAX` means the master is quiescent until new input; `0`
-    /// means the very next tick may change state.
-    pub fn idle_ticks(&self) -> u64 {
-        if self.outstanding.is_some() || self.pc >= self.program.len() {
-            // Waiting on a response, or drained: nothing happens until
-            // input arrives (or ever).
-            return u64::MAX;
-        }
-        self.wait
-            .map(u64::from)
-            .unwrap_or(self.program.get(self.pc).delay_before as u64)
-    }
-
-    /// Accounts `ticks` socket cycles skipped under the [`idle_ticks`]
-    /// contract: afterwards the master is in exactly the state `ticks`
-    /// dense no-op ticks would have left it in.
-    ///
-    /// [`idle_ticks`]: AhbMaster::idle_ticks
-    pub fn skip_ticks(&mut self, ticks: u64) {
-        if self.outstanding.is_some() || self.pc >= self.program.len() {
-            return; // dense ticks would not have touched the countdown
-        }
-        let wait = self
-            .wait
-            .get_or_insert(self.program.get(self.pc).delay_before);
-        *wait = wait.saturating_sub(ticks.min(u32::MAX as u64) as u32);
+    /// The earliest base cycle at which a tick can change the master's
+    /// state, assuming no response reaches the port meanwhile: the head
+    /// command's issue cycle. `None` while waiting on a response or
+    /// drained.
+    pub fn wake_at(&self) -> Option<u64> {
+        self.issue_at
     }
 
     /// Advances one socket cycle.
@@ -219,14 +239,9 @@ impl AhbMaster {
             }
         }
         // Issue the next command.
-        if self.pc >= self.program.len() {
-            return;
-        }
-        let delay = self.program.get(self.pc).delay_before;
-        let wait = self.wait.get_or_insert(delay);
-        if *wait > 0 {
-            *wait -= 1;
-            return;
+        match self.arm(cycle) {
+            Some(issue_at) if issue_at <= cycle => {}
+            _ => return,
         }
         let cmd = self.program.get(self.pc);
         let locked_now = self.locked || cmd.opcode == Opcode::ReadLocked;
@@ -247,7 +262,7 @@ impl AhbMaster {
             }
             self.outstanding = Some((self.pc, cycle));
             self.pc += 1;
-            self.wait = None;
+            self.issue_at = None;
         }
     }
 }
@@ -450,28 +465,36 @@ mod tests {
     }
 
     #[test]
-    fn skip_ticks_matches_dense_countdown() {
-        let program = vec![SocketCommand::read(0, 4).with_delay(10)];
-        let mut dense = AhbMaster::new(program.clone());
-        let mut skipped = AhbMaster::new(program);
-        let mut port_d = AhbPort::new();
-        let mut port_s = AhbPort::new();
-        for c in 0..10 {
-            dense.tick(c, &mut port_d);
-            assert!(port_d.req.is_empty(), "cycle {c} is a pure countdown");
+    fn wake_at_matches_dense_countdown() {
+        for period in [1u64, 3] {
+            let program = vec![SocketCommand::read(0, 4).with_delay(10)];
+            let mut dense = AhbMaster::new(program.clone());
+            let mut jumped = AhbMaster::new(program);
+            dense.set_clock_period(period);
+            jumped.set_clock_period(period);
+            let wake = jumped.wake_at().expect("counting down");
+            assert_eq!(wake, 10 * period);
+            let mut port_d = AhbPort::new();
+            let mut port_j = AhbPort::new();
+            for c in (0..wake).step_by(period as usize) {
+                dense.tick(c, &mut port_d);
+                assert!(port_d.req.is_empty(), "cycle {c} is a pure countdown");
+                assert_eq!(dense.wake_at(), Some(wake), "the deadline never moves");
+            }
+            dense.tick(wake, &mut port_d);
+            jumped.tick(wake, &mut port_j);
+            assert_eq!(
+                port_d.req.take(),
+                port_j.req.take(),
+                "same issue, same cycle"
+            );
+            // waiting on a response / drained = quiescent until input
+            assert_eq!(dense.wake_at(), None);
         }
-        assert_eq!(skipped.idle_ticks(), 10);
-        skipped.skip_ticks(10);
-        assert_eq!(skipped.idle_ticks(), 0);
-        dense.tick(10, &mut port_d);
-        skipped.tick(10, &mut port_s);
-        assert_eq!(
-            port_d.req.take(),
-            port_s.req.take(),
-            "same issue, same cycle"
-        );
-        // waiting on a response / drained = quiescent until input
-        assert_eq!(dense.idle_ticks(), u64::MAX);
-        assert_eq!(AhbMaster::new(vec![]).idle_ticks(), u64::MAX);
+        let mut drained = AhbMaster::new(vec![]);
+        assert_eq!(drained.wake_at(), None);
+        // a drained master counts an appended head down from its next tick
+        drained.append_commands(&[SocketCommand::read(0, 4).with_delay(4)], 7);
+        assert_eq!(drained.wake_at(), Some(11));
     }
 }

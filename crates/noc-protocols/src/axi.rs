@@ -125,7 +125,12 @@ impl Default for AxiPort {
 pub struct AxiMaster {
     program: ProgramTail,
     pc: usize,
-    wait: Option<u32>,
+    /// Base cycle at which the head command's `delay_before` countdown
+    /// runs out; `None` while the head cannot count down (drained, or
+    /// the total outstanding limit is reached).
+    issue_at: Option<u64>,
+    /// Base cycles per socket tick.
+    period: u64,
     per_id_limit: u32,
     total_limit: u32,
     /// Outstanding reads per ID: FIFO of (index, issued_at).
@@ -148,26 +153,58 @@ impl AxiMaster {
             per_id_limit > 0 && total_limit > 0,
             "limits must be non-zero"
         );
-        AxiMaster {
+        let mut master = AxiMaster {
             program: ProgramTail::new(program),
             pc: 0,
-            wait: None,
+            issue_at: None,
+            period: 1,
             per_id_limit,
             total_limit,
             reads: HashMap::new(),
             writes: HashMap::new(),
             outstanding: 0,
             log: CompletionLog::new(),
+        };
+        master.arm(0);
+        master
+    }
+
+    /// Sets the socket clock — see
+    /// [`AhbMaster::set_clock_period`](crate::ahb::AhbMaster::set_clock_period).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the master already issued or completed a command.
+    pub fn set_clock_period(&mut self, period: u64) {
+        assert!(period > 0, "clock period must be non-zero");
+        assert!(
+            self.pc == 0 && self.outstanding == 0 && self.log.is_empty(),
+            "the clock can only be set before execution starts"
+        );
+        self.period = period;
+        self.issue_at = None;
+        self.arm(0);
+    }
+
+    /// Starts the head command's countdown on the tick at base cycle
+    /// `tick`, unless it already runs or the head cannot count down.
+    /// Returns the head's issue cycle.
+    fn arm(&mut self, tick: u64) -> Option<u64> {
+        if self.pc >= self.program.len() || self.outstanding >= self.total_limit {
+            return None;
         }
+        let delay = self.program.get(self.pc).delay_before as u64;
+        Some(*self.issue_at.get_or_insert(tick + delay * self.period))
     }
 
     /// Appends commands to the end of the program, mid-run — see
     /// [`AhbMaster::append_commands`](crate::ahb::AhbMaster::append_commands)
     /// for the contract. The fully-retired prefix is reclaimed.
-    pub fn append_commands(&mut self, tail: &[SocketCommand]) {
+    pub fn append_commands(&mut self, tail: &[SocketCommand], now: u64) {
         for cmd in tail {
             self.program.push(cmd.clone());
         }
+        self.arm(now.next_multiple_of(self.period));
         let live = self
             .reads
             .values()
@@ -191,7 +228,9 @@ impl AxiMaster {
             self.pc == 0 && self.outstanding == 0 && self.log.is_empty(),
             "programs can only be loaded before execution starts"
         );
+        let period = self.period;
         *self = AxiMaster::new(program, self.per_id_limit, self.total_limit);
+        self.set_clock_period(period);
     }
 
     /// Returns `true` when every command has completed.
@@ -204,45 +243,21 @@ impl AxiMaster {
         &self.log
     }
 
-    /// Number of immediately upcoming socket ticks that are provably
-    /// no-ops, assuming no response reaches the port meanwhile
-    /// (`u64::MAX` = quiescent until new input).
-    pub fn idle_ticks(&self) -> u64 {
-        if self.pc >= self.program.len() || self.outstanding >= self.total_limit {
-            return u64::MAX; // issue path gated entirely on responses
-        }
-        let w = self
-            .wait
-            .map(u64::from)
-            .unwrap_or(self.program.get(self.pc).delay_before as u64);
-        if w > 0 {
-            return w;
-        }
-        // Countdown exhausted: only the per-ID limit can still block, and
-        // it clears only when a response retires.
+    /// The earliest base cycle at which a tick can change the master's
+    /// state, assuming no response reaches the port meanwhile: the head
+    /// command's issue cycle. `None` when the issue path waits on a
+    /// response — drained, at the total limit, or with the head's ID at
+    /// its per-ID limit (which clears only when a response retires).
+    pub fn wake_at(&self) -> Option<u64> {
+        let issue_at = self.issue_at?;
         let cmd = self.program.get(self.pc);
         let q = if cmd.opcode.is_read() {
             &self.reads
         } else {
             &self.writes
         };
-        if q.get(&cmd.stream.raw()).map_or(0, |v| v.len()) as u32 >= self.per_id_limit {
-            u64::MAX
-        } else {
-            0
-        }
-    }
-
-    /// Accounts `ticks` socket cycles skipped under the
-    /// [`idle_ticks`](AxiMaster::idle_ticks) contract.
-    pub fn skip_ticks(&mut self, ticks: u64) {
-        if self.pc >= self.program.len() || self.outstanding >= self.total_limit {
-            return; // dense ticks would not have touched the countdown
-        }
-        let wait = self
-            .wait
-            .get_or_insert(self.program.get(self.pc).delay_before);
-        *wait = wait.saturating_sub(ticks.min(u32::MAX as u64) as u32);
+        let id_busy = q.get(&cmd.stream.raw()).map_or(0, |v| v.len()) as u32;
+        (id_busy < self.per_id_limit).then_some(issue_at)
     }
 
     fn retire(
@@ -286,14 +301,9 @@ impl AxiMaster {
             self.retire(idx, at, b.status, Vec::new(), cycle);
         }
         // Issue the next command in program order.
-        if self.pc >= self.program.len() || self.outstanding >= self.total_limit {
-            return;
-        }
-        let delay = self.program.get(self.pc).delay_before;
-        let wait = self.wait.get_or_insert(delay);
-        if *wait > 0 {
-            *wait -= 1;
-            return;
+        match self.arm(cycle) {
+            Some(issue_at) if issue_at <= cycle => {}
+            _ => return,
         }
         let cmd = self.program.get(self.pc);
         let id = cmd.stream.raw();
@@ -327,7 +337,8 @@ impl AxiMaster {
             q.push_back((self.pc, cycle));
             self.outstanding += 1;
             self.pc += 1;
-            self.wait = None;
+            self.issue_at = None;
+            self.arm(cycle + self.period);
         }
     }
 }

@@ -73,8 +73,10 @@ struct ThreadState {
     queue: VecDeque<usize>,
     /// Outstanding (index, issued_at), oldest first.
     outstanding: VecDeque<(usize, u64)>,
-    /// Remaining idle cycles before the next issue.
-    wait: Option<u32>,
+    /// Base cycle at which the head command's `delay_before` countdown
+    /// runs out; `None` while the thread cannot count down (empty queue,
+    /// or at its outstanding limit).
+    issue_at: Option<u64>,
 }
 
 /// An OCP master agent: each socket thread issues its share of the
@@ -107,6 +109,8 @@ pub struct OcpMaster {
     threads: Vec<ThreadState>,
     per_thread_limit: u32,
     issue_rr: usize,
+    /// Base cycles per socket tick.
+    period: u64,
     log: CompletionLog,
 }
 
@@ -132,12 +136,48 @@ impl OcpMaster {
             );
             threads[t].queue.push_back(i);
         }
-        OcpMaster {
+        let mut master = OcpMaster {
             program: ProgramTail::new(program),
             threads,
             per_thread_limit,
             issue_rr: 0,
+            period: 1,
             log: CompletionLog::new(),
+        };
+        master.arm(0);
+        master
+    }
+
+    /// Sets the socket clock — see
+    /// [`AhbMaster::set_clock_period`](crate::ahb::AhbMaster::set_clock_period).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the master already issued or completed a command.
+    pub fn set_clock_period(&mut self, period: u64) {
+        assert!(period > 0, "clock period must be non-zero");
+        assert!(
+            self.log.is_empty() && self.threads.iter().all(|t| t.outstanding.is_empty()),
+            "the clock can only be set before execution starts"
+        );
+        self.period = period;
+        for t in &mut self.threads {
+            t.issue_at = None;
+        }
+        self.arm(0);
+    }
+
+    /// Starts the countdown of every thread head that can count down
+    /// but does not yet, as of the tick at base cycle `tick`.
+    fn arm(&mut self, tick: u64) {
+        for t in &mut self.threads {
+            let Some(&idx) = t.queue.front() else {
+                continue;
+            };
+            if t.issue_at.is_none() && (t.outstanding.len() as u32) < self.per_thread_limit {
+                let delay = self.program.get(idx).delay_before as u64;
+                t.issue_at = Some(tick + delay * self.period);
+            }
         }
     }
 
@@ -150,7 +190,7 @@ impl OcpMaster {
     /// # Panics
     ///
     /// Panics if a command's stream exceeds the thread count.
-    pub fn append_commands(&mut self, tail: &[SocketCommand]) {
+    pub fn append_commands(&mut self, tail: &[SocketCommand], now: u64) {
         for cmd in tail {
             let i = self.program.len();
             let t = cmd.stream.raw() as usize;
@@ -163,6 +203,7 @@ impl OcpMaster {
             self.threads[t].queue.push_back(i);
             self.program.push(cmd.clone());
         }
+        self.arm(now.next_multiple_of(self.period));
         let live = self
             .threads
             .iter()
@@ -192,7 +233,9 @@ impl OcpMaster {
             self.log.is_empty() && self.threads.iter().all(|t| t.outstanding.is_empty()),
             "programs can only be loaded before execution starts"
         );
+        let period = self.period;
         *self = OcpMaster::new(program, self.threads.len() as u8, self.per_thread_limit);
+        self.set_clock_period(period);
     }
 
     /// Returns `true` when every command has completed.
@@ -207,45 +250,12 @@ impl OcpMaster {
         &self.log
     }
 
-    /// Number of immediately upcoming socket ticks that are provably
-    /// no-ops, assuming no response reaches the port meanwhile
-    /// (`u64::MAX` = quiescent until new input). Threads blocked on their
-    /// outstanding limit do not advance their idle countdown, exactly as
-    /// in a dense tick.
-    pub fn idle_ticks(&self) -> u64 {
-        let mut idle = u64::MAX;
-        for t in &self.threads {
-            let Some(&idx) = t.queue.front() else {
-                continue;
-            };
-            if t.outstanding.len() as u32 >= self.per_thread_limit {
-                continue;
-            }
-            let w = t
-                .wait
-                .map(u64::from)
-                .unwrap_or(self.program.get(idx).delay_before as u64);
-            idle = idle.min(w);
-        }
-        idle
-    }
-
-    /// Accounts `ticks` socket cycles skipped under the
-    /// [`idle_ticks`](OcpMaster::idle_ticks) contract: every thread that
-    /// would have counted down in a dense tick counts down here.
-    pub fn skip_ticks(&mut self, ticks: u64) {
-        let ticks = ticks.min(u32::MAX as u64) as u32;
-        let program = &self.program;
-        for t in &mut self.threads {
-            let Some(&idx) = t.queue.front() else {
-                continue;
-            };
-            if t.outstanding.len() as u32 >= self.per_thread_limit {
-                continue;
-            }
-            let wait = t.wait.get_or_insert(program.get(idx).delay_before);
-            *wait = wait.saturating_sub(ticks);
-        }
+    /// The earliest base cycle at which a tick can change the master's
+    /// state, assuming no response reaches the port meanwhile: the
+    /// nearest issue cycle over the threads that can count down. `None`
+    /// when every thread is drained or at its outstanding limit.
+    pub fn wake_at(&self) -> Option<u64> {
+        self.threads.iter().filter_map(|t| t.issue_at).min()
     }
 
     /// Advances one socket cycle.
@@ -275,25 +285,24 @@ impl OcpMaster {
             });
         }
         // Issue: round-robin across threads, one request group per cycle.
+        // Armed threads are exactly the ones that count down when the
+        // round-robin reaches them.
+        self.arm(cycle);
         let n = self.threads.len();
+        let rr = self.issue_rr;
+        let mut reached = n;
         for k in 0..n {
-            let ti = (self.issue_rr + k) % n;
+            let ti = (rr + k) % n;
             if !port.req.ready() {
+                reached = k;
                 break;
             }
             let thread = &mut self.threads[ti];
-            let Some(&idx) = thread.queue.front() else {
-                continue;
-            };
-            if thread.outstanding.len() as u32 >= self.per_thread_limit {
-                continue;
+            match thread.issue_at {
+                Some(issue_at) if issue_at <= cycle => {}
+                _ => continue,
             }
-            let delay = self.program.get(idx).delay_before;
-            let wait = thread.wait.get_or_insert(delay);
-            if *wait > 0 {
-                *wait -= 1;
-                continue;
-            }
+            let idx = *thread.queue.front().expect("armed threads hold a command");
             let cmd = self.program.get(idx);
             let req = OcpReq {
                 opcode: cmd.opcode,
@@ -308,7 +317,7 @@ impl OcpMaster {
             };
             if port.req.offer(req) {
                 thread.queue.pop_front();
-                thread.wait = None;
+                thread.issue_at = None;
                 if cmd.opcode.is_posted() {
                     // Posted write: completes at request accept.
                     self.log.push(CompletionRecord {
@@ -325,9 +334,19 @@ impl OcpMaster {
                     thread.outstanding.push_back((idx, cycle));
                 }
                 self.issue_rr = (ti + 1) % n;
+                reached = k + 1;
                 break;
             }
         }
+        // A thread the round-robin never reached did not count down.
+        for k in reached..n {
+            if let Some(issue_at) = &mut self.threads[(rr + k) % n].issue_at {
+                if cycle < *issue_at {
+                    *issue_at += self.period;
+                }
+            }
+        }
+        self.arm(cycle + self.period);
     }
 }
 
@@ -603,7 +622,7 @@ mod tests {
     }
 
     #[test]
-    fn idle_ticks_is_min_across_waiting_threads_and_skip_matches_dense() {
+    fn wake_at_is_min_across_waiting_threads_and_matches_dense() {
         let program = vec![
             SocketCommand::read(0x00, 4)
                 .with_stream(StreamId::new(0))
@@ -613,23 +632,51 @@ mod tests {
                 .with_delay(3),
         ];
         let mut dense = OcpMaster::new(program.clone(), 2, 1);
-        let mut skipped = OcpMaster::new(program, 2, 1);
+        let mut jumped = OcpMaster::new(program, 2, 1);
         let mut port_d = OcpPort::new();
-        let mut port_s = OcpPort::new();
-        assert_eq!(skipped.idle_ticks(), 3, "nearest thread wakes first");
+        let mut port_j = OcpPort::new();
+        assert_eq!(jumped.wake_at(), Some(3), "nearest thread wakes first");
         for c in 0..3 {
             dense.tick(c, &mut port_d);
             assert!(port_d.req.is_empty(), "cycle {c} is a pure countdown");
+            assert_eq!(dense.wake_at(), Some(3));
         }
-        skipped.skip_ticks(3);
-        assert_eq!(skipped.idle_ticks(), 0);
         dense.tick(3, &mut port_d);
-        skipped.tick(3, &mut port_s);
-        let (d, s) = (port_d.req.take(), port_s.req.take());
-        assert_eq!(d, s, "same issue, same cycle");
+        jumped.tick(3, &mut port_j);
+        let (d, j) = (port_d.req.take(), port_j.req.take());
+        assert_eq!(d, j, "same issue, same cycle");
         assert_eq!(d.unwrap().thread, 1);
         // both masters now hold one outstanding on thread 1; thread 0's
-        // remaining wait must agree after the jump
-        assert_eq!(dense.idle_ticks(), skipped.idle_ticks());
+        // deadline must agree after the jump
+        assert_eq!(dense.wake_at(), Some(8));
+        assert_eq!(dense.wake_at(), jumped.wake_at());
+    }
+
+    #[test]
+    fn threads_the_round_robin_skips_do_not_count_down() {
+        // Thread 0 issues at cycle 2 and the round-robin stops there, so
+        // thread 1 misses that tick of its countdown and issues at 4,
+        // not 3.
+        let program = vec![
+            SocketCommand::read(0x00, 4)
+                .with_stream(StreamId::new(0))
+                .with_delay(2),
+            SocketCommand::read(0x40, 4)
+                .with_stream(StreamId::new(1))
+                .with_delay(3),
+            SocketCommand::read(0x80, 4)
+                .with_stream(StreamId::new(1))
+                .with_delay(2),
+        ];
+        let mut master = OcpMaster::new(program, 2, 4);
+        let mut port = OcpPort::new();
+        let mut issued = Vec::new();
+        for c in 0..12 {
+            if let Some(req) = port.req.take() {
+                issued.push((c - 1, req.thread));
+            }
+            master.tick(c, &mut port);
+        }
+        assert_eq!(issued, vec![(2, 0), (4, 1), (7, 1)]);
     }
 }

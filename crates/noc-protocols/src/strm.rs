@@ -107,7 +107,11 @@ impl Default for StrmPort {
 pub struct StrmMaster {
     program: ProgramTail,
     pc: usize,
-    wait: Option<u32>,
+    /// Base cycle at which the head command's `delay_before` countdown
+    /// runs out; `None` once drained.
+    issue_at: Option<u64>,
+    /// Base cycles per socket tick.
+    period: u64,
     outstanding_reads: VecDeque<(usize, u64)>,
     read_limit: u32,
     log: CompletionLog,
@@ -132,14 +136,45 @@ impl StrmMaster {
                 cmd.opcode
             );
         }
-        StrmMaster {
+        let mut master = StrmMaster {
             program: ProgramTail::new(program),
             pc: 0,
-            wait: None,
+            issue_at: None,
+            period: 1,
             outstanding_reads: VecDeque::new(),
             read_limit,
             log: CompletionLog::new(),
+        };
+        master.arm(0);
+        master
+    }
+
+    /// Sets the socket clock — see
+    /// [`AhbMaster::set_clock_period`](crate::ahb::AhbMaster::set_clock_period).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the master already issued or completed a command.
+    pub fn set_clock_period(&mut self, period: u64) {
+        assert!(period > 0, "clock period must be non-zero");
+        assert!(
+            self.pc == 0 && self.outstanding_reads.is_empty() && self.log.is_empty(),
+            "the clock can only be set before execution starts"
+        );
+        self.period = period;
+        self.issue_at = None;
+        self.arm(0);
+    }
+
+    /// Starts the head command's countdown on the tick at base cycle
+    /// `tick`, unless it already runs or the master is drained. Returns
+    /// the head's issue cycle.
+    fn arm(&mut self, tick: u64) -> Option<u64> {
+        if self.pc >= self.program.len() {
+            return None;
         }
+        let delay = self.program.get(self.pc).delay_before as u64;
+        Some(*self.issue_at.get_or_insert(tick + delay * self.period))
     }
 
     /// Appends commands to the end of the program, mid-run — see
@@ -149,7 +184,7 @@ impl StrmMaster {
     /// # Panics
     ///
     /// Panics if a command carries an opcode the socket cannot express.
-    pub fn append_commands(&mut self, tail: &[SocketCommand]) {
+    pub fn append_commands(&mut self, tail: &[SocketCommand], now: u64) {
         for cmd in tail {
             let i = self.program.len();
             assert!(
@@ -162,6 +197,7 @@ impl StrmMaster {
             );
             self.program.push(cmd.clone());
         }
+        self.arm(now.next_multiple_of(self.period));
         let live = self
             .outstanding_reads
             .front()
@@ -183,7 +219,9 @@ impl StrmMaster {
             self.pc == 0 && self.outstanding_reads.is_empty() && self.log.is_empty(),
             "programs can only be loaded before execution starts"
         );
+        let period = self.period;
         *self = StrmMaster::new(program, self.read_limit);
+        self.set_clock_period(period);
     }
 
     /// Returns `true` when every command has completed.
@@ -196,39 +234,16 @@ impl StrmMaster {
         &self.log
     }
 
-    /// Number of immediately upcoming socket ticks that are provably
-    /// no-ops, assuming no read data reaches the port meanwhile
-    /// (`u64::MAX` = quiescent until new input).
-    pub fn idle_ticks(&self) -> u64 {
-        if self.pc >= self.program.len() {
-            return u64::MAX;
-        }
-        let w = self
-            .wait
-            .map(u64::from)
-            .unwrap_or(self.program.get(self.pc).delay_before as u64);
-        if w > 0 {
-            return w;
-        }
-        if self.program.get(self.pc).opcode.is_read()
-            && self.outstanding_reads.len() as u32 >= self.read_limit
-        {
-            u64::MAX // unblocks only when read data retires
-        } else {
-            0
-        }
-    }
-
-    /// Accounts `ticks` socket cycles skipped under the
-    /// [`idle_ticks`](StrmMaster::idle_ticks) contract.
-    pub fn skip_ticks(&mut self, ticks: u64) {
-        if self.pc >= self.program.len() {
-            return;
-        }
-        let wait = self
-            .wait
-            .get_or_insert(self.program.get(self.pc).delay_before);
-        *wait = wait.saturating_sub(ticks.min(u32::MAX as u64) as u32);
+    /// The earliest base cycle at which a tick can change the master's
+    /// state, assuming no read data reaches the port meanwhile: the head
+    /// command's issue cycle. `None` when drained or when the head is a
+    /// read blocked on the read limit (which clears only when read data
+    /// retires).
+    pub fn wake_at(&self) -> Option<u64> {
+        let issue_at = self.issue_at?;
+        let blocked = self.program.get(self.pc).opcode.is_read()
+            && self.outstanding_reads.len() as u32 >= self.read_limit;
+        (!blocked).then_some(issue_at)
     }
 
     /// Advances one socket cycle.
@@ -250,14 +265,9 @@ impl StrmMaster {
                 completed_at: cycle,
             });
         }
-        if self.pc >= self.program.len() {
-            return;
-        }
-        let delay = self.program.get(self.pc).delay_before;
-        let wait = self.wait.get_or_insert(delay);
-        if *wait > 0 {
-            *wait -= 1;
-            return;
+        match self.arm(cycle) {
+            Some(issue_at) if issue_at <= cycle => {}
+            _ => return,
         }
         let cmd = self.program.get(self.pc);
         if cmd.opcode.is_read() {
@@ -272,7 +282,8 @@ impl StrmMaster {
             if port.rreq.offer(req) {
                 self.outstanding_reads.push_back((self.pc, cycle));
                 self.pc += 1;
-                self.wait = None;
+                self.issue_at = None;
+                self.arm(cycle + self.period);
             }
         } else {
             let w = StrmWrite {
@@ -294,7 +305,8 @@ impl StrmMaster {
                     completed_at: cycle,
                 });
                 self.pc += 1;
-                self.wait = None;
+                self.issue_at = None;
+                self.arm(cycle + self.period);
             }
         }
     }

@@ -129,8 +129,13 @@ pub struct VciMaster {
     /// Per-thread outstanding FIFOs.
     outstanding: Vec<VecDeque<(usize, u64)>>,
     per_thread_limit: u32,
-    waits: Vec<Option<u32>>,
+    /// Per thread: base cycle at which the head command's
+    /// `delay_before` countdown runs out; `None` while the thread cannot
+    /// count down (empty queue, or at its outstanding limit).
+    issue_at: Vec<Option<u64>>,
     issue_rr: usize,
+    /// Base cycles per socket tick.
+    period: u64,
     log: CompletionLog,
 }
 
@@ -167,15 +172,51 @@ impl VciMaster {
         } else {
             pipeline_depth
         };
-        VciMaster {
+        let mut master = VciMaster {
             program: ProgramTail::new(program),
             flavor,
             outstanding: vec![VecDeque::new(); threads],
-            waits: vec![None; threads],
+            issue_at: vec![None; threads],
             queues,
             per_thread_limit,
             issue_rr: 0,
+            period: 1,
             log: CompletionLog::new(),
+        };
+        master.arm(0);
+        master
+    }
+
+    /// Sets the socket clock — see
+    /// [`AhbMaster::set_clock_period`](crate::ahb::AhbMaster::set_clock_period).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the master already issued or completed a command.
+    pub fn set_clock_period(&mut self, period: u64) {
+        assert!(period > 0, "clock period must be non-zero");
+        assert!(
+            self.log.is_empty() && self.outstanding.iter().all(|o| o.is_empty()),
+            "the clock can only be set before execution starts"
+        );
+        self.period = period;
+        self.issue_at.fill(None);
+        self.arm(0);
+    }
+
+    /// Starts the countdown of every thread head that can count down
+    /// but does not yet, as of the tick at base cycle `tick`.
+    fn arm(&mut self, tick: u64) {
+        for (t, q) in self.queues.iter().enumerate() {
+            let Some(&idx) = q.front() else {
+                continue;
+            };
+            if self.issue_at[t].is_none()
+                && (self.outstanding[t].len() as u32) < self.per_thread_limit
+            {
+                let delay = self.program.get(idx).delay_before as u64;
+                self.issue_at[t] = Some(tick + delay * self.period);
+            }
         }
     }
 
@@ -194,7 +235,7 @@ impl VciMaster {
     ///
     /// Panics if a command violates the flavour's constraints (multi-beat
     /// bursts on PVCI, stream beyond the thread count).
-    pub fn append_commands(&mut self, tail: &[SocketCommand]) {
+    pub fn append_commands(&mut self, tail: &[SocketCommand], now: u64) {
         let threads = self.queues.len();
         for cmd in tail {
             let i = self.program.len();
@@ -213,6 +254,7 @@ impl VciMaster {
             self.queues[t].push_back(i);
             self.program.push(cmd.clone());
         }
+        self.arm(now.next_multiple_of(self.period));
         let live = self
             .queues
             .iter()
@@ -242,7 +284,9 @@ impl VciMaster {
             self.log.is_empty() && self.outstanding.iter().all(|o| o.is_empty()),
             "programs can only be loaded before execution starts"
         );
+        let period = self.period;
         *self = VciMaster::new(program, self.flavor, self.per_thread_limit);
+        self.set_clock_period(period);
     }
 
     /// Returns `true` when every command has completed.
@@ -255,40 +299,12 @@ impl VciMaster {
         &self.log
     }
 
-    /// Number of immediately upcoming socket ticks that are provably
-    /// no-ops, assuming no response reaches the port meanwhile
-    /// (`u64::MAX` = quiescent until new input).
-    pub fn idle_ticks(&self) -> u64 {
-        let mut idle = u64::MAX;
-        for (t, q) in self.queues.iter().enumerate() {
-            let Some(&idx) = q.front() else {
-                continue;
-            };
-            if self.outstanding[t].len() as u32 >= self.per_thread_limit {
-                continue;
-            }
-            let w = self.waits[t]
-                .map(u64::from)
-                .unwrap_or(self.program.get(idx).delay_before as u64);
-            idle = idle.min(w);
-        }
-        idle
-    }
-
-    /// Accounts `ticks` socket cycles skipped under the
-    /// [`idle_ticks`](VciMaster::idle_ticks) contract.
-    pub fn skip_ticks(&mut self, ticks: u64) {
-        let ticks = ticks.min(u32::MAX as u64) as u32;
-        for (t, q) in self.queues.iter().enumerate() {
-            let Some(&idx) = q.front() else {
-                continue;
-            };
-            if self.outstanding[t].len() as u32 >= self.per_thread_limit {
-                continue;
-            }
-            let wait = self.waits[t].get_or_insert(self.program.get(idx).delay_before);
-            *wait = wait.saturating_sub(ticks);
-        }
+    /// The earliest base cycle at which a tick can change the master's
+    /// state, assuming no response reaches the port meanwhile: the
+    /// nearest issue cycle over the threads that can count down. `None`
+    /// when every thread is drained or at its outstanding limit.
+    pub fn wake_at(&self) -> Option<u64> {
+        self.issue_at.iter().flatten().copied().min()
     }
 
     /// Advances one socket cycle.
@@ -315,24 +331,25 @@ impl VciMaster {
                 completed_at: cycle,
             });
         }
+        // Armed threads are exactly the ones that count down when the
+        // round-robin reaches them.
+        self.arm(cycle);
         let n = self.queues.len();
+        let rr = self.issue_rr;
+        let mut reached = n;
         for k in 0..n {
-            let t = (self.issue_rr + k) % n;
+            let t = (rr + k) % n;
             if !port.req.ready() {
+                reached = k;
                 break;
             }
-            let Some(&idx) = self.queues[t].front() else {
-                continue;
-            };
-            if self.outstanding[t].len() as u32 >= self.per_thread_limit {
-                continue;
+            match self.issue_at[t] {
+                Some(issue_at) if issue_at <= cycle => {}
+                _ => continue,
             }
-            let delay = self.program.get(idx).delay_before;
-            let wait = self.waits[t].get_or_insert(delay);
-            if *wait > 0 {
-                *wait -= 1;
-                continue;
-            }
+            let idx = *self.queues[t]
+                .front()
+                .expect("armed threads hold a command");
             let cmd = self.program.get(idx);
             let req = VciReq {
                 opcode: cmd.opcode,
@@ -347,12 +364,22 @@ impl VciMaster {
             };
             if port.req.offer(req) {
                 self.queues[t].pop_front();
-                self.waits[t] = None;
+                self.issue_at[t] = None;
                 self.outstanding[t].push_back((idx, cycle));
                 self.issue_rr = (t + 1) % n;
+                reached = k + 1;
                 break;
             }
         }
+        // A thread the round-robin never reached did not count down.
+        for k in reached..n {
+            if let Some(issue_at) = &mut self.issue_at[(rr + k) % n] {
+                if cycle < *issue_at {
+                    *issue_at += self.period;
+                }
+            }
+        }
+        self.arm(cycle + self.period);
     }
 }
 

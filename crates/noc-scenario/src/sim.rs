@@ -186,7 +186,7 @@ pub enum StepMode {
     /// semantics, and the escape hatch when debugging a backend's
     /// quiescence bookkeeping.
     Dense,
-    /// Jump simulation time across provably-dead gaps (idle countdowns,
+    /// Jump simulation time across provably-dead gaps (command delays,
     /// drained fabrics) via [`Simulation::advance_to`]. Bit-identical to
     /// dense stepping — pinned by the cross-backend equivalence suite —
     /// and several-fold faster on sparse workloads.
@@ -254,7 +254,7 @@ pub trait Simulation: Send {
     ///
     /// The default claims activity on every cycle — always correct, and
     /// exactly what dense stepping assumes. Backends override it with
-    /// real per-component event horizons (traffic-generator countdowns,
+    /// real per-component event horizons (masters' next issue cycles,
     /// in-flight link arrivals, slave `busy_until` / bridge `respond_at`
     /// stamps) min-combined so `advance_to` can skip dead time even
     /// while traffic is in flight.
@@ -625,27 +625,6 @@ impl NocSim {
             };
             self.state = SocState::Sharded(sharded);
         }
-    }
-
-    /// Runs until done or `max_cycles` on the *barrier-integrated*
-    /// reference runner ([`ShardedSoc::advance_conservative`]: serial
-    /// cross-traffic integration and feeder refill under the epoch
-    /// barrier) instead of the overlapped one — the differential oracle
-    /// of the sharded determinism suite. Shards the simulation on first
-    /// use exactly like [`StepMode::Sharded`].
-    pub fn run_until_barrier(&mut self, max_cycles: u64, threads: usize) -> bool {
-        self.ensure_sharded(threads);
-        let NocSim { state, feeders, .. } = self;
-        match state {
-            SocState::Sharded(sharded) => {
-                sharded.advance_conservative(max_cycles, |append, frontier| {
-                    feeders.refill(frontier, |ordinal, tail| append(ordinal, tail));
-                    feeders.bound(max_cycles)
-                });
-            }
-            _ => unreachable!("ensure_sharded pins the sharded shape"),
-        }
-        self.is_done()
     }
 }
 

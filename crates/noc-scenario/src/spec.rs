@@ -1647,17 +1647,17 @@ impl SocketInitiator for BoxedFe {
     fn log(&self) -> &noc_protocols::CompletionLog {
         self.0.log()
     }
-    fn idle_ticks(&self) -> u64 {
-        self.0.idle_ticks()
+    fn wake_at(&self) -> Option<u64> {
+        self.0.wake_at()
     }
-    fn skip_ticks(&mut self, ticks: u64) {
-        self.0.skip_ticks(ticks)
+    fn set_clock_period(&mut self, period: u64) {
+        self.0.set_clock_period(period)
     }
     fn load_program(&mut self, program: Program) {
         self.0.load_program(program)
     }
-    fn append_commands(&mut self, tail: &[noc_protocols::SocketCommand]) {
-        self.0.append_commands(tail)
+    fn append_commands(&mut self, tail: &[noc_protocols::SocketCommand], now: u64) {
+        self.0.append_commands(tail, now)
     }
     fn clone_box(&self) -> Box<dyn SocketInitiator> {
         Box::new(BoxedFe(self.0.clone_box()))

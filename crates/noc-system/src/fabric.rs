@@ -14,10 +14,9 @@
 //! - switches holding flits (or streaming allocations) live in a `busy`
 //!   set, entered on `accept` and left when a tick ends idle; only busy
 //!   switches are ticked — ticking an idle switch is a no-op except for
-//!   [`noc_transport::SwitchStats::lock_idle_cycles`], which idle
-//!   switches pinned by locked sequences accrue in bulk via the
-//!   `locked` set (one [`Switch::skip_cycles`] per executed cycle,
-//!   bit-identical to the dense tick's per-output increment);
+//!   [`noc_transport::SwitchStats::lock_idle_cycles`], which an idle
+//!   switch pinned by a locked sequence accrues from the cycle it went
+//!   idle, settled by its next tick or by [`Fabric::stats`];
 //! - stashes with flits live in a `stashed` set.
 //!
 //! Active sets are iterated in ascending switch/link index order — the
@@ -55,7 +54,7 @@ struct FabricLink {
 }
 
 /// A set of switch indices with O(1) insert/membership and iteration
-/// proportional to the members, used for the busy/locked/stashed
+/// proportional to the members, used for the busy/stashed
 /// tracking that makes fabric ticks O(active).
 #[derive(Clone, Default)]
 struct ActiveSet {
@@ -151,9 +150,6 @@ pub struct Fabric {
     link_wake: Vec<WakeId>,
     /// Switches currently holding flits or allocations.
     busy: ActiveSet,
-    /// Idle switches with ≥ 1 output pinned by a locked sequence (they
-    /// accrue lock-idle statistics every cycle, executed or skipped).
-    locked: ActiveSet,
     /// Switches with ≥ 1 stashed flit, plus per-switch flit counts.
     stashed: ActiveSet,
     stash_flits: Vec<usize>,
@@ -287,7 +283,6 @@ impl Fabric {
             link_cal: Calendar::new(),
             link_wake: Vec::new(),
             busy: ActiveSet::with_capacity(num_switches),
-            locked: ActiveSet::with_capacity(num_switches),
             stashed: ActiveSet::with_capacity(num_switches),
             stash_flits: vec![0; num_switches],
             total_stashed: 0,
@@ -419,7 +414,6 @@ impl Fabric {
     /// tick ends with it idle.
     fn mark_busy(&mut self, s: usize) {
         self.busy.insert(s);
-        self.locked.remove(s);
     }
 
     /// Returns `true` when `node` can inject a flit this base cycle.
@@ -503,15 +497,6 @@ impl Fabric {
                 self.mark_busy(switch);
             }
         }
-        // 1b. Idle switches pinned by locked sequences accrue their
-        // lock-idle statistic for this executed cycle in bulk — exactly
-        // what a dense tick's empty allocation pass would have counted.
-        // (Switches that just turned busy in step 1 left the set and
-        // will count it themselves in step 3.)
-        for i in 0..self.locked.list.len() {
-            let s = self.locked.list[i];
-            self.switches[s].skip_cycles(1);
-        }
         // 2. Drain output stashes into links (stash-holding switches
         // only).
         let mut order = std::mem::take(&mut self.order_scratch);
@@ -540,7 +525,7 @@ impl Fabric {
         self.busy.sorted_into(&mut order);
         let mut tick = std::mem::take(&mut self.tick_scratch);
         for &s in &order {
-            self.switches[s].tick_into(&mut tick);
+            self.switches[s].tick_into(now, &mut tick);
             for (port, flit) in tick.sent.drain(..) {
                 let p = port.index();
                 let Some(li) = self.out_wire[s][p] else {
@@ -573,9 +558,6 @@ impl Fabric {
             }
             if self.switches[s].is_idle() {
                 self.busy.remove(s);
-                if self.switches[s].has_locked_output() {
-                    self.locked.insert(s);
-                }
             }
         }
         self.tick_scratch = tick;
@@ -625,9 +607,9 @@ impl Fabric {
     /// whose only traffic is *in flight on links* — deep in a pipelined
     /// crossing, or waiting out a CDC synchroniser — reports the
     /// earliest scheduled arrival from the link calendar instead, in
-    /// O(1). Idle switches with pinned locks constrain nothing here;
-    /// their per-cycle lock-idle statistics are bulk-accounted by
-    /// [`Fabric::skip_cycles`] and [`Fabric::tick`].
+    /// O(1). Idle switches with pinned locks constrain nothing here:
+    /// they accrue their lock-idle statistics from the cycle they went
+    /// idle (see [`Switch::tick_into`]).
     pub fn next_event_at(&self, now: u64) -> Option<u64> {
         if !self.busy.is_empty() || self.total_stashed > 0 {
             return Some(now);
@@ -638,22 +620,6 @@ impl Fabric {
         let mut horizon = Horizon::from(self.link_cal.peek());
         horizon.merge(self.inbox.keys().next().copied());
         horizon.earliest_from(now)
-    }
-
-    /// Accounts `cycles` skipped fabric ticks: forwards the bulk
-    /// lock-idle accounting to every idle switch still pinned by a
-    /// locked sequence (see [`Switch::skip_cycles`]). Links and stashes
-    /// need nothing — their state is timestamped, not counted per cycle
-    /// — and unpinned idle switches have nothing to count.
-    ///
-    /// Callers must only skip cycles [`Fabric::next_event_at`] proved
-    /// dead.
-    pub fn skip_cycles(&mut self, cycles: u64) {
-        debug_assert!(self.busy.is_empty(), "skipping a fabric holding flits");
-        for i in 0..self.locked.list.len() {
-            let s = self.locked.list[i];
-            self.switches[s].skip_cycles(cycles);
-        }
     }
 
     /// Stages a flit arriving from another region's replica of cross
@@ -742,7 +708,6 @@ impl Fabric {
                 link_cal: Calendar::new(),
                 link_wake: Vec::new(),
                 busy: ActiveSet::default(),
-                locked: ActiveSet::default(),
                 stashed: ActiveSet::default(),
                 stash_flits: Vec::new(),
                 total_stashed: 0,
@@ -779,18 +744,15 @@ impl Fabric {
         }
         // Rebuild the active sets from the moved state. At a step
         // boundary membership is fully determined by it: busy iff the
-        // switch holds flits or allocations, locked iff idle with a
-        // pinned output, stashed iff the stash holds flits.
+        // switch holds flits or allocations, stashed iff the stash holds
+        // flits.
         for part in &mut parts {
             let n = part.switches.len();
             part.busy = ActiveSet::with_capacity(n);
-            part.locked = ActiveSet::with_capacity(n);
             part.stashed = ActiveSet::with_capacity(n);
             for s in 0..n {
                 if !part.switches[s].is_idle() {
                     part.busy.insert(s);
-                } else if part.switches[s].has_locked_output() {
-                    part.locked.insert(s);
                 }
                 if part.stash_flits[s] > 0 {
                     part.stashed.insert(s);
@@ -917,11 +879,11 @@ impl Fabric {
         self.link_cal.pops()
     }
 
-    /// Aggregate switch statistics.
-    pub fn stats(&self) -> noc_transport::SwitchStats {
+    /// Aggregate switch statistics as of base cycle `now`.
+    pub fn stats(&self, now: u64) -> noc_transport::SwitchStats {
         let mut total = noc_transport::SwitchStats::default();
         for s in &self.switches {
-            let st = s.stats();
+            let st = s.stats_at(now);
             total.flits_forwarded += st.flits_forwarded;
             total.packets_forwarded += st.packets_forwarded;
             total.credit_stalls += st.credit_stalls;

@@ -59,12 +59,11 @@
 //!   global link order at report time;
 //! - a region that drains early is *parked* at its local done cycle and
 //!   a final fix-up brings every region to the exact cycle a
-//!   single-threaded run stops at, replaying the same skip accounting.
+//!   single-threaded run stops at (every component keeps absolute
+//!   deadlines, so the parked cycles need no accounting).
 //!
-//! The two-barrier coordinator runner
-//! ([`ShardedSoc::advance_conservative`], serial mailbox integration
-//! and feeder refill under the epoch barrier) is retained as a
-//! differential oracle for the overlapped runner.
+//! Dense single-threaded stepping is the oracle the overlapped runner
+//! is pinned to.
 
 use crate::fabric::Fabric;
 use crate::report::{EpochOccupancy, FabricReport, MasterReport, SocReport};
@@ -72,7 +71,6 @@ use crate::soc::{Soc, SocSplit};
 use noc_kernel::{EpochPlanner, Horizon, MinStamp, ParityCell, SpinBarrier};
 use noc_protocols::{CompletionLog, Program, SocketCommand};
 use noc_transport::Flit;
-use std::sync::Mutex;
 
 /// How switches are assigned to regions. Every variant produces
 /// contiguous index bands — mesh builders number switches row-major, so
@@ -249,18 +247,6 @@ impl RegionFeeder for () {
     }
 }
 
-/// What the legacy coordinator asks the workers to do with their
-/// regions.
-#[derive(Debug, Clone, Copy)]
-enum Cmd {
-    /// Advance each region until done or the window end.
-    Run(u64),
-    /// Force each region to exactly the target cycle (final fix-up).
-    Finish(u64),
-    /// Exit the worker loop.
-    Stop,
-}
-
 /// Cross-region routing scratch, reused across epochs.
 #[derive(Debug, Clone, Default)]
 struct RouteBufs {
@@ -348,16 +334,12 @@ struct RegionPub {
 /// A [`Soc`] partitioned into regions for conservative parallel
 /// execution. Construct with [`ShardedSoc::new`] (activity-weighted
 /// default) or [`ShardedSoc::with_partition`]; drive it densely
-/// ([`ShardedSoc::step`], serial, one-cycle epochs), with the
-/// overlapped runner ([`ShardedSoc::advance_overlapped`]), or with the
-/// legacy coordinator ([`ShardedSoc::advance_conservative`]). `Clone`
+/// ([`ShardedSoc::step`], serial, one-cycle epochs) or with the
+/// overlapped runner ([`ShardedSoc::advance_overlapped`]). `Clone`
 /// remains the snapshot primitive, exactly as for [`Soc`].
 #[derive(Debug, Clone)]
 pub struct ShardedSoc {
     regions: Vec<Soc>,
-    /// Worker threads used by the conservative runners (= region
-    /// count).
-    threads: usize,
     planner: EpochPlanner,
     /// Request-fabric global link id → region whose inbox receives its
     /// flits / region owning its replica (credit destination).
@@ -423,7 +405,6 @@ impl ShardedSoc {
             initiator_map,
         } = soc.shard(&map, region_count);
         ShardedSoc {
-            threads: regions.len(),
             regions,
             // A single region (or a partition nothing crosses) has
             // unbounded lookahead; the planner only needs it non-zero.
@@ -438,8 +419,7 @@ impl ShardedSoc {
         }
     }
 
-    /// Number of regions (= worker threads of the conservative
-    /// runners).
+    /// Number of regions (= worker threads of the overlapped runner).
     pub fn regions(&self) -> usize {
         self.regions.len()
     }
@@ -561,7 +541,11 @@ impl ShardedSoc {
         for soc in &self.regions {
             fabric.request_flits += soc.request_fabric().delivered_flits();
             fabric.response_flits += soc.response_fabric().delivered_flits();
-            for stats in [soc.request_fabric().stats(), soc.response_fabric().stats()] {
+            let now = soc.now();
+            for stats in [
+                soc.request_fabric().stats(now),
+                soc.response_fabric().stats(now),
+            ] {
                 fabric.flits_forwarded += stats.flits_forwarded;
                 fabric.packets_forwarded += stats.packets_forwarded;
                 fabric.credit_stalls += stats.credit_stalls;
@@ -667,7 +651,7 @@ impl ShardedSoc {
             self.regions.len(),
             "one feeder per region (use `()` for program-driven regions)"
         );
-        // Anything staged by a previous dense/legacy run is integrated
+        // Anything staged by a previous dense run is integrated
         // up front, so the workers start from clean outboxes.
         self.route_cross();
         let region_count = self.regions.len();
@@ -859,154 +843,6 @@ impl ShardedSoc {
         // Workers drained every mailbox and staged nothing after the
         // fix-up; this is a no-op that re-asserts the invariant cheaply
         // and keeps the outbox-clean contract for whatever runs next.
-        self.route_cross();
-    }
-
-    /// Runs conservative parallel epochs until the system drains or
-    /// every region reaches `horizon`. Once per epoch, `feed` is called
-    /// with an append hook (global initiator ordinal + command tail)
-    /// and the frontier cycle; it must return the exclusive release
-    /// bound the epoch window may not cross (the streamed-workload
-    /// refill contract — `u64::MAX`-like bounds are fine, the horizon
-    /// caps the window anyway).
-    ///
-    /// This is the barrier-integrated reference runner: cross traffic
-    /// and feeder refill are handled serially between two barrier
-    /// crossings per epoch. It is retained as a differential oracle for
-    /// [`ShardedSoc::advance_overlapped`], which produces bit-identical
-    /// state while integrating mail and refilling feeders inside the
-    /// workers.
-    ///
-    /// On return every region sits at the exact cycle a single-threaded
-    /// run would have stopped at, with bit-identical state.
-    pub fn advance_conservative<F>(&mut self, horizon: u64, mut feed: F)
-    where
-        F: FnMut(&mut dyn FnMut(usize, &[SocketCommand]), u64) -> u64,
-    {
-        let workers = self.threads.min(self.regions.len());
-        // The coordinator loop body, factored over "how an epoch runs".
-        // Returns the finish target once no further epochs are needed.
-        let mut plan = |this: &mut ShardedSoc| -> Result<u64, u64> {
-            this.route_cross();
-            let frontier = this.now();
-            let map = &this.initiator_map;
-            let regions = &mut this.regions;
-            let bound = feed(
-                &mut |ordinal, tail| {
-                    let (r, local) = map[ordinal];
-                    regions[r].append_commands(local, tail);
-                },
-                frontier,
-            );
-            if this.regions.iter().all(Soc::is_done) {
-                // Drained for good: the feeder appended nothing (a dry,
-                // unexhausted feeder always has commands due at or
-                // before the frontier, so "no append" means "no more
-                // input ever").
-                return Err(this.now());
-            }
-            if this
-                .regions
-                .iter()
-                .all(|s| s.is_done() || s.now() >= horizon)
-            {
-                return Err(horizon);
-            }
-            Ok(this.planner.window(this.next_activity(), [bound, horizon]))
-        };
-        if workers <= 1 {
-            let finish = loop {
-                match plan(self) {
-                    Err(finish) => break finish,
-                    Ok(window) => {
-                        for soc in &mut self.regions {
-                            soc.advance_to(window);
-                        }
-                    }
-                }
-            };
-            for soc in &mut self.regions {
-                soc.advance_exact(finish);
-            }
-            self.route_cross();
-            return;
-        }
-        // Threaded runner. Regions travel between the coordinator and
-        // their worker through per-region mailbox slots; two barrier
-        // crossings frame each epoch (A: command + regions published,
-        // B: results published). Worker `w` owns regions w, w+W, … —
-        // a static assignment, so no two workers touch one slot in the
-        // same epoch and the coordinator only touches slots between
-        // barriers.
-        let slots: Vec<Mutex<Option<Soc>>> =
-            (0..self.regions.len()).map(|_| Mutex::new(None)).collect();
-        let barrier = SpinBarrier::new(workers + 1);
-        let command = Mutex::new(Cmd::Stop);
-        let finish = std::thread::scope(|scope| {
-            for w in 0..workers {
-                let slots = &slots;
-                let barrier = &barrier;
-                let command = &command;
-                scope.spawn(move || loop {
-                    barrier.wait(); // A: command and regions published.
-                    let cmd = *command
-                        .lock()
-                        .expect("coordinator cannot panic holding this");
-                    if let Cmd::Stop = cmd {
-                        break;
-                    }
-                    for slot in slots.iter().skip(w).step_by(workers) {
-                        let mut soc = slot
-                            .lock()
-                            .expect("slots are uncontended")
-                            .take()
-                            .expect("coordinator filled every slot");
-                        match cmd {
-                            Cmd::Run(window) => soc.advance_to(window),
-                            Cmd::Finish(target) => soc.advance_exact(target),
-                            Cmd::Stop => unreachable!("handled above"),
-                        }
-                        *slot.lock().expect("slots are uncontended") = Some(soc);
-                    }
-                    barrier.wait(); // B: results published.
-                });
-            }
-            let dispatch = |regions: &mut Vec<Soc>, cmd: Cmd| {
-                *command.lock().expect("workers cannot panic holding this") = cmd;
-                for (slot, soc) in slots.iter().zip(regions.drain(..)) {
-                    *slot.lock().expect("slots are uncontended") = Some(soc);
-                }
-                barrier.wait(); // A
-                barrier.wait(); // B
-                for slot in &slots {
-                    regions.push(
-                        slot.lock()
-                            .expect("slots are uncontended")
-                            .take()
-                            .expect("worker returned every region"),
-                    );
-                }
-            };
-            let finish = loop {
-                match plan(self) {
-                    Err(finish) => break finish,
-                    Ok(window) => {
-                        let mut regions = std::mem::take(&mut self.regions);
-                        dispatch(&mut regions, Cmd::Run(window));
-                        self.regions = regions;
-                    }
-                }
-            };
-            if self.regions.iter().any(|s| s.now() < finish) {
-                let mut regions = std::mem::take(&mut self.regions);
-                dispatch(&mut regions, Cmd::Finish(finish));
-                self.regions = regions;
-            }
-            *command.lock().expect("workers cannot panic holding this") = Cmd::Stop;
-            barrier.wait(); // A: release workers to exit.
-            finish
-        });
-        debug_assert!(self.regions.iter().all(|s| s.now() == finish));
         self.route_cross();
     }
 }

@@ -173,9 +173,10 @@ impl SocBuilder {
         mut self,
         name: &str,
         node: u16,
-        endpoint: Box<dyn NocEndpoint>,
+        mut endpoint: Box<dyn NocEndpoint>,
         clock_divisor: u64,
     ) -> Self {
+        endpoint.set_clock(ClockDomain::new(clock_divisor));
         self.endpoints.push(Endpoint {
             name: name.to_owned(),
             node,
@@ -198,9 +199,10 @@ impl SocBuilder {
         mut self,
         name: &str,
         node: u16,
-        endpoint: Box<dyn NocEndpoint>,
+        mut endpoint: Box<dyn NocEndpoint>,
         clock_divisor: u64,
     ) -> Self {
+        endpoint.set_clock(ClockDomain::new(clock_divisor));
         self.endpoints.push(Endpoint {
             name: name.to_owned(),
             node,
@@ -375,10 +377,10 @@ impl Soc {
         // Retire due endpoint wakeups. Everything that can move an
         // endpoint's horizon (or done-ness) this cycle lands in
         // `touched`: its wakeup firing, a flit pulled from it, a flit
-        // pushed into it. Clocked ticks *inside* a pending wakeup's
-        // dead region are provably no-ops for the horizon — the same
-        // invariance that lets [`Soc::skip_to`] jump them — so merely
-        // being clocked does not require re-registration.
+        // pushed into it. Clocked ticks *before* a pending wakeup are
+        // provably no-ops — the same invariance that lets
+        // [`Soc::advance_to`] jump them — so merely being clocked does
+        // not require re-registration.
         let mut touched = std::mem::take(&mut self.touched_scratch);
         touched.clear();
         self.ep_cal.pop_due(now, |id| touched.push(id.index()));
@@ -438,29 +440,16 @@ impl Soc {
         self.touched_scratch = touched;
     }
 
-    /// The endpoint's current horizon contribution: the earliest base
-    /// cycle at which it can act, combining its local-tick countdown
-    /// ([`NocEndpoint::idle_ticks`], mapped onto the base timeline
-    /// through its clock domain) with the [`NocEndpoint::ready_at`]
-    /// absolute refinement. Both are proofs of deadness, so the later
-    /// bound wins; both are invariant across [`Soc::skip_to`] (the
-    /// countdown shrinks by exactly the skipped edges), so a scheduled
-    /// wakeup stays valid through skips.
+    /// The endpoint's current horizon contribution: the first clock
+    /// edge at or after both `now` and its [`NocEndpoint::wake_at`]
+    /// cycle. The wake cycle is absolute, so a scheduled wakeup stays
+    /// valid however far [`Soc::advance_to`] jumps.
     fn endpoint_wake_at(&self, i: usize) -> Option<u64> {
-        let ep = &self.endpoints[i];
         let domain = self.clocks.domain(self.clock_ids[i]);
-        let edge = domain.next_active(self.now);
-        let idle = ep.inner.idle_ticks();
-        let from_idle =
-            (idle != u64::MAX).then(|| edge.saturating_add(idle.saturating_mul(domain.divisor())));
-        let from_ready = ep
+        self.endpoints[i]
             .inner
-            .ready_at()
-            .map(|ready| domain.next_active(ready.max(self.now)));
-        match (from_idle, from_ready) {
-            (Some(a), Some(b)) => Some(a.max(b)),
-            (a, b) => a.or(b),
-        }
+            .wake_at()
+            .map(|t| domain.next_active(t.max(self.now)))
     }
 
     /// Re-registers endpoint `i`'s wakeup and refreshes its cached
@@ -523,40 +512,20 @@ impl Soc {
         self.ep_cal.pops() + self.request.calendar_pops() + self.response.calendar_pops()
     }
 
-    /// Jumps simulation time to `target` across a provably-dead gap: for
-    /// every endpoint the clock edges inside `[now, target)` are
-    /// accounted through [`NocEndpoint::skip_ticks`], and both fabrics
-    /// bulk-account their lock-idle statistics through
-    /// [`Fabric::skip_cycles`], leaving bit-identical state.
-    ///
-    /// Callers must only pass targets at or before the cycle returned by
-    /// [`Soc::next_activity`].
-    fn skip_to(&mut self, target: u64) {
-        for (i, ep) in self.endpoints.iter_mut().enumerate() {
-            let domain = self.clocks.domain(self.clock_ids[i]);
-            let ticks = domain.ticks_in(target) - domain.ticks_in(self.now);
-            if ticks > 0 {
-                ep.inner.skip_ticks(ticks);
-            }
-        }
-        let cycles = target - self.now;
-        self.request.skip_cycles(cycles);
-        self.response.skip_cycles(cycles);
-        self.now = target;
-    }
-
     /// Advances until done or `horizon`, jumping over quiescent gaps and
     /// stepping densely through active stretches. Bit-identical to
-    /// stepping every cycle.
+    /// stepping every cycle: every component keeps absolute deadlines,
+    /// so a jump across cycles [`Soc::next_activity`] proved dead is
+    /// just a new `now`.
     pub fn advance_to(&mut self, horizon: u64) {
         while self.now < horizon && !self.is_done() {
             match self.next_activity() {
-                Some(t) if t > self.now => self.skip_to(t.min(horizon)),
+                Some(t) if t > self.now => self.now = t.min(horizon),
                 Some(_) => self.step(),
                 // Nothing will ever happen again (deadlock with every
                 // component quiescent): dense stepping would burn no-op
                 // cycles to the horizon; jump there in one hop.
-                None => self.skip_to(horizon),
+                None => self.now = horizon,
             }
         }
     }
@@ -579,9 +548,9 @@ impl Soc {
             // calendar entries may force spurious (dense-identical)
             // steps; everything else is jumped.
             match self.next_activity() {
-                Some(t) if t > self.now => self.skip_to(t.min(target)),
+                Some(t) if t > self.now => self.now = t.min(target),
                 Some(_) => self.step(),
-                None => self.skip_to(target),
+                None => self.now = target,
             }
         }
     }
@@ -645,7 +614,7 @@ impl Soc {
             .nth(ordinal)
             .map(|(i, _)| i)
             .expect("initiator ordinal out of range");
-        self.endpoints[i].inner.append_commands(tail);
+        self.endpoints[i].inner.append_commands(tail, self.now);
         self.refresh_endpoint(i);
     }
 
@@ -702,8 +671,8 @@ impl Soc {
             .into_iter()
             .flatten()
             .collect();
-        let req = self.request.stats();
-        let resp = self.response.stats();
+        let req = self.request.stats(self.now);
+        let resp = self.response.stats(self.now);
         SocReport {
             cycles: self.now,
             all_done: self.is_done(),

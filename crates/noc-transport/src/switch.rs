@@ -146,6 +146,10 @@ pub struct Switch {
     out_credits: Vec<u32>,
     arbiters: Vec<RoundRobinArbiter>,
     stats: SwitchStats,
+    /// Set while the switch sits idle with outputs pinned by a locked
+    /// sequence: the base cycle from which those outputs accrue
+    /// [`SwitchStats::lock_idle_cycles`] without being ticked.
+    lock_idle_since: Option<u64>,
     /// Allocation-request scratch (one slot per input), reused across
     /// ticks so the per-output arbitration pass allocates nothing.
     req_scratch: Vec<Option<u8>>,
@@ -177,6 +181,7 @@ impl Switch {
             config,
             table,
             stats: SwitchStats::default(),
+            lock_idle_since: None,
         }
     }
 
@@ -185,9 +190,28 @@ impl Switch {
         &self.config
     }
 
-    /// Performance counters.
+    /// Performance counters as of the last tick.
     pub fn stats(&self) -> &SwitchStats {
         &self.stats
+    }
+
+    /// Performance counters as of base cycle `now`: [`Switch::stats`]
+    /// plus the lock-idle cycles an idle, pinned switch has accrued
+    /// since its last [`Switch::tick_into`].
+    pub fn stats_at(&self, now: u64) -> SwitchStats {
+        let mut stats = self.stats;
+        stats.lock_idle_cycles += self.parked_lock_idle(now);
+        stats
+    }
+
+    /// Lock-idle cycles accrued in `[lock_idle_since, now)`: an idle
+    /// switch counts one per pinned output per cycle, exactly as an
+    /// empty allocation pass would.
+    fn parked_lock_idle(&self, now: u64) -> u64 {
+        self.lock_idle_since.map_or(0, |since| {
+            let locked = self.out_lock.iter().filter(|l| l.is_some()).count() as u64;
+            locked * (now - since)
+        })
     }
 
     /// Free space in input `port`'s FIFO (credits to advertise upstream).
@@ -229,9 +253,8 @@ impl Switch {
 
     /// Returns `true` if any output is pinned by a locked sequence.
     /// Idle-but-locked switches still accrue
-    /// [`SwitchStats::lock_idle_cycles`] every cycle, so callers that
-    /// skip ticking idle switches must keep accounting for these via
-    /// [`Switch::skip_cycles`].
+    /// [`SwitchStats::lock_idle_cycles`] every cycle, ticked or not (see
+    /// [`Switch::tick_into`]).
     pub fn has_locked_output(&self) -> bool {
         self.out_lock.iter().any(|l| l.is_some())
     }
@@ -247,9 +270,9 @@ impl Switch {
     /// allocation) may move — and accrues stall counters — every cycle,
     /// so it reports `Some(now)`; an idle switch reports `None` even
     /// when an output is still pinned by a locked sequence, because the
-    /// only thing dense ticks would do then is count
-    /// [`SwitchStats::lock_idle_cycles`] — which
-    /// [`Switch::skip_cycles`] accounts in bulk, bit-identically.
+    /// only thing ticks would do then is count
+    /// [`SwitchStats::lock_idle_cycles`] — which the switch accrues from
+    /// the cycle it went idle (see [`Switch::tick_into`]).
     pub fn next_event_at(&self, now: u64) -> Option<u64> {
         if self.is_idle() {
             None
@@ -258,35 +281,34 @@ impl Switch {
         }
     }
 
-    /// Accounts `cycles` skipped ticks of an idle switch: every output
-    /// pinned by a locked sequence would have counted one
-    /// [`SwitchStats::lock_idle_cycles`] per tick (it has no candidate
-    /// flits — the switch is idle), so the bulk add leaves the counters
-    /// exactly as dense ticking would have.
-    ///
-    /// Callers must only skip while [`Switch::next_event_at`] returns
-    /// `None`.
-    pub fn skip_cycles(&mut self, cycles: u64) {
-        debug_assert!(self.is_idle(), "skipping a switch that holds flits");
-        let locked = self.out_lock.iter().filter(|l| l.is_some()).count() as u64;
-        self.stats.lock_idle_cycles += locked * cycles;
-    }
-
     /// Advances the switch one cycle: allocates outputs to waiting heads,
     /// then forwards at most one flit per output.
     pub fn tick(&mut self) -> SwitchTick {
         let mut tick = SwitchTick::default();
-        self.tick_into(&mut tick);
+        self.allocate();
+        self.forward(&mut tick);
         tick
     }
 
-    /// [`Switch::tick`] into a caller-owned (cleared) result, so hot
-    /// loops can reuse one buffer across many switch cycles.
-    pub fn tick_into(&mut self, tick: &mut SwitchTick) {
+    /// [`Switch::tick`] at base cycle `now`, into a caller-owned
+    /// (cleared) result so hot loops can reuse one buffer across many
+    /// switch cycles.
+    ///
+    /// Callers may stop ticking the switch while it is idle: a tick that
+    /// leaves it idle with pinned outputs records the next cycle as its
+    /// lock-idle-since cycle, and the next `tick_into` (or
+    /// [`Switch::stats_at`]) accounts every cycle from there on exactly
+    /// as the skipped ticks' empty allocation passes would have.
+    pub fn tick_into(&mut self, now: u64, tick: &mut SwitchTick) {
+        self.stats.lock_idle_cycles += self.parked_lock_idle(now);
+        self.lock_idle_since = None;
         tick.sent.clear();
         tick.credits_released.clear();
         self.allocate();
         self.forward(tick);
+        if self.has_locked_output() && self.is_idle() {
+            self.lock_idle_since = Some(now + 1);
+        }
     }
 
     /// Output allocation: for every free output, competing head flits are
@@ -635,21 +657,28 @@ mod tests {
     }
 
     #[test]
-    fn skip_cycles_matches_dense_lock_idle_accounting() {
+    fn parked_lock_idle_accounting_matches_dense() {
         // Two identical switches holding an idle pinned lock: one ticked
-        // densely, one bulk-skipped — counters must agree exactly.
+        // every cycle, one left parked from the cycle it went idle —
+        // counters must agree exactly, at any cycle and after a tick.
         let mut dense = switch2x2(SwitchMode::Wormhole);
         inject(&mut dense, 0, &locked_packet(0, 1, false));
-        let _ = drain(&mut dense, 3); // locked packet fully forwarded
+        let mut tick = SwitchTick::default();
+        for now in 0..3 {
+            dense.tick_into(now, &mut tick); // locked packet fully forwarded
+        }
         assert!(dense.is_idle());
         assert!(dense.is_output_locked(0));
-        assert_eq!(dense.next_event_at(5), None, "idle lock is skippable");
-        let mut skipped = dense.clone();
-        for _ in 0..17 {
-            let _ = dense.tick();
+        assert_eq!(dense.next_event_at(3), None, "idle lock is skippable");
+        let mut parked = dense.clone();
+        for now in 3..20 {
+            dense.tick_into(now, &mut tick);
+            assert_eq!(dense.stats_at(now + 1), parked.stats_at(now + 1));
         }
-        skipped.skip_cycles(17);
-        assert_eq!(dense.stats(), skipped.stats());
+        parked.tick_into(20, &mut tick);
+        dense.tick_into(20, &mut tick);
+        assert_eq!(dense.stats(), parked.stats());
+        assert_eq!(dense.stats_at(21), parked.stats_at(21));
     }
 
     #[test]
