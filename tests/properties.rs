@@ -15,6 +15,27 @@ use noc_transport::{Flit, FlitFifo, Header, Packet};
 
 const CASES: usize = 300;
 
+/// A trace file path private to one call, removed on drop: concurrent
+/// tests (and concurrent test processes) never rewrite each other's
+/// fixture while a trace cursor is mid-replay.
+struct TempTrace(std::path::PathBuf);
+
+impl TempTrace {
+    fn new(stem: &str) -> Self {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        static NEXT: AtomicUsize = AtomicUsize::new(0);
+        let n = NEXT.fetch_add(1, Ordering::Relaxed);
+        let name = format!("noc-{stem}-{}-{n}.trace", std::process::id());
+        TempTrace(std::env::temp_dir().join(name))
+    }
+}
+
+impl Drop for TempTrace {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_file(&self.0);
+    }
+}
+
 fn arb_burst(rng: &mut SplitMix64) -> Burst {
     loop {
         let kind = match rng.next_below(4) {
@@ -842,11 +863,10 @@ fn trace_replay_is_identical_across_backends_and_modes() {
     };
     use std::io::Write;
 
-    let dir = std::env::temp_dir().join("noc-scenario-prop-trace");
-    std::fs::create_dir_all(&dir).expect("temp dir");
-    let path = dir.join("prop.trace");
+    let trace_file = TempTrace::new("prop");
+    let path = &trace_file.0;
     let mut rng = SplitMix64::new(0x7AACE);
-    let mut f = std::fs::File::create(&path).expect("trace file");
+    let mut f = std::fs::File::create(path).expect("trace file");
     writeln!(f, "# generated by the property suite").unwrap();
     let mut ts = 0u64;
     for i in 0..300 {
@@ -993,11 +1013,10 @@ fn sharded_trace_replay_and_snapshots_resume_identically() {
     };
     use std::io::Write;
 
-    let dir = std::env::temp_dir().join("noc-scenario-prop-shard-trace");
-    std::fs::create_dir_all(&dir).expect("temp dir");
-    let path = dir.join("shard.trace");
+    let trace_file = TempTrace::new("prop-shard");
+    let path = &trace_file.0;
     let mut rng = SplitMix64::new(0xC0FFEE5);
-    let mut f = std::fs::File::create(&path).expect("trace file");
+    let mut f = std::fs::File::create(path).expect("trace file");
     let mut ts = 0u64;
     for i in 0..200 {
         ts += rng.next_below(50);

@@ -164,17 +164,38 @@ fn program_loading_equals_building_with_programs() {
     }
 }
 
+/// A trace file path private to one call, removed on drop: concurrent
+/// tests (and concurrent test processes) never rewrite each other's
+/// fixture while a trace cursor is mid-replay.
+struct TempTrace(std::path::PathBuf);
+
+impl TempTrace {
+    fn new(stem: &str) -> Self {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        static NEXT: AtomicUsize = AtomicUsize::new(0);
+        let n = NEXT.fetch_add(1, Ordering::Relaxed);
+        let name = format!("noc-{stem}-{}-{n}.trace", std::process::id());
+        TempTrace(std::env::temp_dir().join(name))
+    }
+}
+
+impl Drop for TempTrace {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_file(&self.0);
+    }
+}
+
 /// A scenario mixing all three streamed program kinds — bursty, zipf
 /// and trace replay — so checkpoints must capture generator RNG state
-/// and the trace cursor's file position.
-fn stochastic_spec() -> ScenarioSpec {
+/// and the trace cursor's file position. The trace file lives as long
+/// as the returned guard.
+fn stochastic_spec() -> (ScenarioSpec, TempTrace) {
     use noc_scenario::{BurstySpec, InitiatorSpec, MemorySpec, SocketSpec, TraceSpec, ZipfSpec};
     use std::io::Write;
 
-    let dir = std::env::temp_dir().join("noc-scenario-snapshot-trace");
-    std::fs::create_dir_all(&dir).expect("temp dir");
-    let path = dir.join("snapshot.trace");
-    let mut f = std::fs::File::create(&path).expect("trace file");
+    let trace_file = TempTrace::new("snapshot");
+    let path = &trace_file.0;
+    let mut f = std::fs::File::create(path).expect("trace file");
     let mut rng = noc_kernel::SplitMix64::new(0x5A17);
     let mut ts = 0u64;
     for _ in 0..150 {
@@ -189,7 +210,7 @@ fn stochastic_spec() -> ScenarioSpec {
     bursty.shape.streams = 2;
     bursty.shape.gap = 3;
     let zipf = ZipfSpec::new(0x21F, 150, 1200);
-    ScenarioSpec::new()
+    let spec = ScenarioSpec::new()
         .initiator(InitiatorSpec::new(
             "burst",
             SocketSpec::Ocp {
@@ -213,7 +234,8 @@ fn stochastic_spec() -> ScenarioSpec {
             TraceSpec::new(path.to_str().expect("utf-8 temp path")),
         ))
         .memory(MemorySpec::new("dram", 0x0, 0x1000, 5).with_queue(2))
-        .memory(MemorySpec::new("sram", 0x1000, 0x2000, 2).with_queue(4))
+        .memory(MemorySpec::new("sram", 0x1000, 0x2000, 2).with_queue(4));
+    (spec, trace_file)
 }
 
 /// Snapshotting mid-burst — generators part-way through their RNG
@@ -222,7 +244,7 @@ fn stochastic_spec() -> ScenarioSpec {
 /// every backend and in both step modes.
 #[test]
 fn stochastic_interrupted_runs_match_uninterrupted_runs() {
-    let spec = stochastic_spec();
+    let (spec, _trace_file) = stochastic_spec();
     for backend in backends() {
         for mode in [StepMode::Dense, StepMode::Horizon] {
             let label = format!("{} / {mode:?} (stochastic)", backend.label());
@@ -265,7 +287,7 @@ fn stochastic_interrupted_runs_match_uninterrupted_runs() {
 /// spec — the warm-vs-cold contract behind the checkpoint cache.
 #[test]
 fn stochastic_program_loading_equals_building_with_programs() {
-    let full = stochastic_spec();
+    let (full, _trace_file) = stochastic_spec();
     for backend in backends() {
         let label = format!("{} (stochastic)", backend.label());
         let platform = full
