@@ -1,48 +1,27 @@
 //! AHB initiator front end.
 
-use crate::initiator::SocketInitiator;
-use noc_protocols::ahb::{AhbMaster, AhbPort, AhbResp};
-use noc_protocols::{CompletionLog, Program};
+use super::{deliver_one, FrontEnd, Initiator};
+use noc_protocols::ahb::{AhbPort, AhbResp, AhbSocket};
 use noc_transaction::{
     Opcode, RespStatus, ServiceBits, StreamId, TransactionRequest, TransactionResponse,
 };
 use std::collections::VecDeque;
 
-/// Hosts an [`AhbMaster`] and converts its port traffic to neutral
-/// transactions. AHB is fully ordered: the back end should be configured
-/// with [`noc_transaction::OrderingModel::FullyOrdered`].
-#[derive(Debug, Clone)]
-pub struct AhbInitiator {
-    master: AhbMaster,
-    port: AhbPort,
-    resp_queue: VecDeque<AhbResp>,
-}
+/// Hosts an [`AhbMaster`](noc_protocols::ahb::AhbMaster) and converts its
+/// port traffic to neutral transactions. AHB is fully ordered: the back
+/// end should be configured with
+/// [`noc_transaction::OrderingModel::FullyOrdered`].
+pub type AhbInitiator = Initiator<AhbSocket>;
 
-impl AhbInitiator {
-    /// Creates the front end around a program-driven AHB master.
-    pub fn new(master: AhbMaster) -> Self {
-        AhbInitiator {
-            master,
-            port: AhbPort::new(),
-            resp_queue: VecDeque::new(),
-        }
-    }
-}
+impl FrontEnd for AhbSocket {
+    type Pending = VecDeque<AhbResp>;
 
-impl SocketInitiator for AhbInitiator {
-    fn tick(&mut self, cycle: u64) {
-        // Drain buffered responses into the socket first so the master
-        // can retire and issue in the same cycle sequence a real slave
-        // would allow.
-        if !self.resp_queue.is_empty() && self.port.resp.ready() {
-            let resp = self.resp_queue.pop_front().expect("checked non-empty");
-            self.port.resp.offer(resp);
-        }
-        self.master.tick(cycle, &mut self.port);
+    fn deliver(pending: &mut Self::Pending, port: &mut AhbPort) {
+        deliver_one(pending, &mut port.resp);
     }
 
-    fn pull_request(&mut self) -> Option<TransactionRequest> {
-        let req = self.port.req.take()?;
+    fn pull_request(port: &mut AhbPort) -> Option<TransactionRequest> {
+        let req = port.req.take()?;
         let mut builder = TransactionRequest::builder(req.opcode)
             .address(req.addr)
             .burst(req.burst)
@@ -56,7 +35,12 @@ impl SocketInitiator for AhbInitiator {
         Some(builder.build().expect("agent produces valid requests"))
     }
 
-    fn push_response(&mut self, _stream: StreamId, opcode: Opcode, resp: TransactionResponse) {
+    fn push_response(
+        pending: &mut Self::Pending,
+        _stream: StreamId,
+        opcode: Opcode,
+        resp: TransactionResponse,
+    ) {
         // AHB's HRESP cannot express exclusive statuses; collapse them.
         let status = match resp.status() {
             RespStatus::ExOkay => RespStatus::Okay,
@@ -68,37 +52,14 @@ impl SocketInitiator for AhbInitiator {
         } else {
             Vec::new()
         };
-        self.resp_queue.push_back(AhbResp { status, data });
+        pending.push_back(AhbResp { status, data });
     }
 
-    fn done(&self) -> bool {
-        self.master.done() && self.resp_queue.is_empty() && self.port.req.is_empty()
+    fn holds_traffic(pending: &Self::Pending, port: &AhbPort) -> bool {
+        !pending.is_empty() || port.req.valid()
     }
 
-    fn log(&self) -> &CompletionLog {
-        self.master.log()
-    }
-
-    fn wake_at(&self) -> Option<u64> {
-        if !self.resp_queue.is_empty() || self.port.req.valid() || self.port.resp.valid() {
-            return Some(0); // buffered traffic keeps the front end hot
-        }
-        self.master.wake_at()
-    }
-
-    fn set_clock_period(&mut self, period: u64) {
-        self.master.set_clock_period(period);
-    }
-
-    fn load_program(&mut self, program: Program) {
-        self.master.load_program(program);
-    }
-
-    fn append_commands(&mut self, tail: &[noc_protocols::SocketCommand], now: u64) {
-        self.master.append_commands(tail, now);
-    }
-
-    fn clone_box(&self) -> Box<dyn SocketInitiator> {
-        Box::new(self.clone())
+    fn responding(port: &AhbPort) -> bool {
+        port.resp.valid()
     }
 }

@@ -1,51 +1,35 @@
 //! AXI initiator front end.
 
-use crate::initiator::SocketInitiator;
-use noc_protocols::axi::{AxiB, AxiMaster, AxiPort, AxiR};
-use noc_protocols::{CompletionLog, Program};
+use super::{deliver_one, FrontEnd, Initiator};
+use noc_protocols::axi::{AxiB, AxiPort, AxiR, AxiSocket};
 use noc_transaction::{Opcode, StreamId, TransactionRequest, TransactionResponse};
 use std::collections::VecDeque;
 
-/// Hosts an [`AxiMaster`]; socket IDs are renamed onto NoC tags by the
-/// back end, so pair this with
+/// Hosts an [`AxiMaster`](noc_protocols::axi::AxiMaster); socket IDs are
+/// renamed onto NoC tags by the back end, so pair this with
 /// [`noc_transaction::OrderingModel::IdBased`].
-#[derive(Debug, Clone)]
-pub struct AxiInitiator {
-    master: AxiMaster,
-    port: AxiPort,
-    r_queue: VecDeque<AxiR>,
-    b_queue: VecDeque<AxiB>,
+pub type AxiInitiator = Initiator<AxiSocket>;
+
+/// Responses waiting for the R and B channels, each drained on its own.
+#[derive(Debug, Clone, Default)]
+pub struct AxiPending {
+    r: VecDeque<AxiR>,
+    b: VecDeque<AxiB>,
 }
 
-impl AxiInitiator {
-    /// Creates the front end around a program-driven AXI master.
-    pub fn new(master: AxiMaster) -> Self {
-        AxiInitiator {
-            master,
-            port: AxiPort::new(),
-            r_queue: VecDeque::new(),
-            b_queue: VecDeque::new(),
-        }
-    }
-}
+impl FrontEnd for AxiSocket {
+    type Pending = AxiPending;
 
-impl SocketInitiator for AxiInitiator {
-    fn tick(&mut self, cycle: u64) {
-        if !self.r_queue.is_empty() && self.port.r.ready() {
-            let r = self.r_queue.pop_front().expect("checked non-empty");
-            self.port.r.offer(r);
-        }
-        if !self.b_queue.is_empty() && self.port.b.ready() {
-            let b = self.b_queue.pop_front().expect("checked non-empty");
-            self.port.b.offer(b);
-        }
-        self.master.tick(cycle, &mut self.port);
+    fn deliver(pending: &mut AxiPending, port: &mut AxiPort) {
+        deliver_one(&mut pending.r, &mut port.r);
+        deliver_one(&mut pending.b, &mut port.b);
     }
 
-    fn pull_request(&mut self) -> Option<TransactionRequest> {
-        // Reads and writes arrive on independent channels; alternate
-        // fairly by draining AR first, then AW (one per pull).
-        if let Some(ar) = self.port.ar.take() {
+    fn pull_request(port: &mut AxiPort) -> Option<TransactionRequest> {
+        // Reads and writes arrive on independent channels. One pull
+        // takes one request, AR before AW: a waiting read always goes
+        // first, and a write waits until AR is empty.
+        if let Some(ar) = port.ar.take() {
             let opcode = if ar.exclusive {
                 Opcode::ReadExclusive
             } else {
@@ -60,78 +44,48 @@ impl SocketInitiator for AxiInitiator {
                     .expect("agent produces valid requests"),
             );
         }
-        if let Some(aw) = self.port.aw.take() {
-            let opcode = if aw.exclusive {
-                Opcode::WriteExclusive
-            } else {
-                Opcode::Write
-            };
-            return Some(
-                TransactionRequest::builder(opcode)
-                    .address(aw.addr)
-                    .burst(aw.burst)
-                    .stream(StreamId::new(aw.id))
-                    .data(aw.data)
-                    .build()
-                    .expect("agent produces valid requests"),
-            );
-        }
-        None
+        let aw = port.aw.take()?;
+        let opcode = if aw.exclusive {
+            Opcode::WriteExclusive
+        } else {
+            Opcode::Write
+        };
+        Some(
+            TransactionRequest::builder(opcode)
+                .address(aw.addr)
+                .burst(aw.burst)
+                .stream(StreamId::new(aw.id))
+                .data(aw.data)
+                .build()
+                .expect("agent produces valid requests"),
+        )
     }
 
-    fn push_response(&mut self, stream: StreamId, opcode: Opcode, resp: TransactionResponse) {
+    fn push_response(
+        pending: &mut AxiPending,
+        stream: StreamId,
+        opcode: Opcode,
+        resp: TransactionResponse,
+    ) {
         if opcode.is_read() {
-            self.r_queue.push_back(AxiR {
+            pending.r.push_back(AxiR {
                 id: stream.raw(),
                 status: resp.status(),
                 data: resp.data().to_vec(),
             });
         } else {
-            self.b_queue.push_back(AxiB {
+            pending.b.push_back(AxiB {
                 id: stream.raw(),
                 status: resp.status(),
             });
         }
     }
 
-    fn done(&self) -> bool {
-        self.master.done()
-            && self.r_queue.is_empty()
-            && self.b_queue.is_empty()
-            && self.port.ar.is_empty()
-            && self.port.aw.is_empty()
+    fn holds_traffic(pending: &AxiPending, port: &AxiPort) -> bool {
+        !pending.r.is_empty() || !pending.b.is_empty() || port.ar.valid() || port.aw.valid()
     }
 
-    fn log(&self) -> &CompletionLog {
-        self.master.log()
-    }
-
-    fn wake_at(&self) -> Option<u64> {
-        if !self.r_queue.is_empty()
-            || !self.b_queue.is_empty()
-            || self.port.ar.valid()
-            || self.port.aw.valid()
-            || self.port.r.valid()
-            || self.port.b.valid()
-        {
-            return Some(0); // buffered traffic keeps the front end hot
-        }
-        self.master.wake_at()
-    }
-
-    fn set_clock_period(&mut self, period: u64) {
-        self.master.set_clock_period(period);
-    }
-
-    fn load_program(&mut self, program: Program) {
-        self.master.load_program(program);
-    }
-
-    fn append_commands(&mut self, tail: &[noc_protocols::SocketCommand], now: u64) {
-        self.master.append_commands(tail, now);
-    }
-
-    fn clone_box(&self) -> Box<dyn SocketInitiator> {
-        Box::new(self.clone())
+    fn responding(port: &AxiPort) -> bool {
+        port.r.valid() || port.b.valid()
     }
 }

@@ -1,42 +1,24 @@
 //! OCP initiator front end.
 
-use crate::initiator::SocketInitiator;
-use noc_protocols::ocp::{OcpMaster, OcpPort, OcpResp};
-use noc_protocols::{CompletionLog, Program};
+use super::{deliver_one, FrontEnd, Initiator};
+use noc_protocols::ocp::{OcpPort, OcpResp, OcpSocket};
 use noc_transaction::{Opcode, StreamId, TransactionRequest, TransactionResponse};
 use std::collections::VecDeque;
 
-/// Hosts an [`OcpMaster`]; threads map one-to-one onto NoC tags, so pair
-/// this with [`noc_transaction::OrderingModel::Threaded`].
-#[derive(Debug, Clone)]
-pub struct OcpInitiator {
-    master: OcpMaster,
-    port: OcpPort,
-    resp_queue: VecDeque<OcpResp>,
-}
+/// Hosts an [`OcpMaster`](noc_protocols::ocp::OcpMaster); threads map
+/// one-to-one onto NoC tags, so pair this with
+/// [`noc_transaction::OrderingModel::Threaded`].
+pub type OcpInitiator = Initiator<OcpSocket>;
 
-impl OcpInitiator {
-    /// Creates the front end around a program-driven OCP master.
-    pub fn new(master: OcpMaster) -> Self {
-        OcpInitiator {
-            master,
-            port: OcpPort::new(),
-            resp_queue: VecDeque::new(),
-        }
-    }
-}
+impl FrontEnd for OcpSocket {
+    type Pending = VecDeque<OcpResp>;
 
-impl SocketInitiator for OcpInitiator {
-    fn tick(&mut self, cycle: u64) {
-        if !self.resp_queue.is_empty() && self.port.resp.ready() {
-            let resp = self.resp_queue.pop_front().expect("checked non-empty");
-            self.port.resp.offer(resp);
-        }
-        self.master.tick(cycle, &mut self.port);
+    fn deliver(pending: &mut Self::Pending, port: &mut OcpPort) {
+        deliver_one(pending, &mut port.resp);
     }
 
-    fn pull_request(&mut self) -> Option<TransactionRequest> {
-        let req = self.port.req.take()?;
+    fn pull_request(port: &mut OcpPort) -> Option<TransactionRequest> {
+        let req = port.req.take()?;
         let mut builder = TransactionRequest::builder(req.opcode)
             .address(req.addr)
             .burst(req.burst)
@@ -47,47 +29,29 @@ impl SocketInitiator for OcpInitiator {
         Some(builder.build().expect("agent produces valid requests"))
     }
 
-    fn push_response(&mut self, stream: StreamId, opcode: Opcode, resp: TransactionResponse) {
+    fn push_response(
+        pending: &mut Self::Pending,
+        stream: StreamId,
+        opcode: Opcode,
+        resp: TransactionResponse,
+    ) {
         let data = if opcode.is_read() {
             resp.data().to_vec()
         } else {
             Vec::new()
         };
-        self.resp_queue.push_back(OcpResp {
+        pending.push_back(OcpResp {
             thread: stream.raw() as u8,
             status: resp.status(),
             data,
         });
     }
 
-    fn done(&self) -> bool {
-        self.master.done() && self.resp_queue.is_empty() && self.port.req.is_empty()
+    fn holds_traffic(pending: &Self::Pending, port: &OcpPort) -> bool {
+        !pending.is_empty() || port.req.valid()
     }
 
-    fn log(&self) -> &CompletionLog {
-        self.master.log()
-    }
-
-    fn wake_at(&self) -> Option<u64> {
-        if !self.resp_queue.is_empty() || self.port.req.valid() || self.port.resp.valid() {
-            return Some(0); // buffered traffic keeps the front end hot
-        }
-        self.master.wake_at()
-    }
-
-    fn set_clock_period(&mut self, period: u64) {
-        self.master.set_clock_period(period);
-    }
-
-    fn load_program(&mut self, program: Program) {
-        self.master.load_program(program);
-    }
-
-    fn append_commands(&mut self, tail: &[noc_protocols::SocketCommand], now: u64) {
-        self.master.append_commands(tail, now);
-    }
-
-    fn clone_box(&self) -> Box<dyn SocketInitiator> {
-        Box::new(self.clone())
+    fn responding(port: &OcpPort) -> bool {
+        port.resp.valid()
     }
 }

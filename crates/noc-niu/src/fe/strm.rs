@@ -4,43 +4,24 @@
 //! STRM *urgency* sideband needs information exchanged between NIUs →
 //! it rides the packet `pressure` field; no transport or switch change.
 
-use crate::initiator::SocketInitiator;
-use noc_protocols::strm::{StrmMaster, StrmPort, StrmReadData};
-use noc_protocols::{CompletionLog, Program};
+use super::{deliver_one, FrontEnd, Initiator};
+use noc_protocols::strm::{StrmPort, StrmReadData, StrmSocket};
 use noc_transaction::{Opcode, StreamId, TransactionRequest, TransactionResponse};
 use std::collections::VecDeque;
 
-/// Hosts a [`StrmMaster`]; fully ordered reads → pair with
-/// [`noc_transaction::OrderingModel::FullyOrdered`].
-#[derive(Debug, Clone)]
-pub struct StrmInitiator {
-    master: StrmMaster,
-    port: StrmPort,
-    rdata_queue: VecDeque<StrmReadData>,
-}
+/// Hosts a [`StrmMaster`](noc_protocols::strm::StrmMaster); fully ordered
+/// reads → pair with [`noc_transaction::OrderingModel::FullyOrdered`].
+pub type StrmInitiator = Initiator<StrmSocket>;
 
-impl StrmInitiator {
-    /// Creates the front end around a program-driven STRM master.
-    pub fn new(master: StrmMaster) -> Self {
-        StrmInitiator {
-            master,
-            port: StrmPort::new(),
-            rdata_queue: VecDeque::new(),
-        }
-    }
-}
+impl FrontEnd for StrmSocket {
+    type Pending = VecDeque<StrmReadData>;
 
-impl SocketInitiator for StrmInitiator {
-    fn tick(&mut self, cycle: u64) {
-        if !self.rdata_queue.is_empty() && self.port.rdata.ready() {
-            let rd = self.rdata_queue.pop_front().expect("checked non-empty");
-            self.port.rdata.offer(rd);
-        }
-        self.master.tick(cycle, &mut self.port);
+    fn deliver(pending: &mut Self::Pending, port: &mut StrmPort) {
+        deliver_one(pending, &mut port.rdata);
     }
 
-    fn pull_request(&mut self) -> Option<TransactionRequest> {
-        if let Some(w) = self.port.tx.take() {
+    fn pull_request(port: &mut StrmPort) -> Option<TransactionRequest> {
+        if let Some(w) = port.tx.take() {
             return Some(
                 TransactionRequest::builder(Opcode::WritePosted)
                     .address(w.addr)
@@ -52,63 +33,36 @@ impl SocketInitiator for StrmInitiator {
                     .expect("agent produces valid requests"),
             );
         }
-        if let Some(r) = self.port.rreq.take() {
-            return Some(
-                TransactionRequest::builder(Opcode::Read)
-                    .address(r.addr)
-                    .burst(r.burst)
-                    .stream(StreamId::ZERO)
-                    .pressure(r.urgency)
-                    .build()
-                    .expect("agent produces valid requests"),
-            );
-        }
-        None
+        let r = port.rreq.take()?;
+        Some(
+            TransactionRequest::builder(Opcode::Read)
+                .address(r.addr)
+                .burst(r.burst)
+                .stream(StreamId::ZERO)
+                .pressure(r.urgency)
+                .build()
+                .expect("agent produces valid requests"),
+        )
     }
 
-    fn push_response(&mut self, _stream: StreamId, opcode: Opcode, resp: TransactionResponse) {
+    fn push_response(
+        pending: &mut Self::Pending,
+        _stream: StreamId,
+        opcode: Opcode,
+        resp: TransactionResponse,
+    ) {
         debug_assert!(opcode.is_read(), "STRM only expects read responses");
-        self.rdata_queue.push_back(StrmReadData {
+        pending.push_back(StrmReadData {
             data: resp.data().to_vec(),
             status: resp.status(),
         });
     }
 
-    fn done(&self) -> bool {
-        self.master.done()
-            && self.rdata_queue.is_empty()
-            && self.port.tx.is_empty()
-            && self.port.rreq.is_empty()
+    fn holds_traffic(pending: &Self::Pending, port: &StrmPort) -> bool {
+        !pending.is_empty() || port.tx.valid() || port.rreq.valid()
     }
 
-    fn log(&self) -> &CompletionLog {
-        self.master.log()
-    }
-
-    fn wake_at(&self) -> Option<u64> {
-        if !self.rdata_queue.is_empty()
-            || self.port.tx.valid()
-            || self.port.rreq.valid()
-            || self.port.rdata.valid()
-        {
-            return Some(0); // buffered traffic keeps the front end hot
-        }
-        self.master.wake_at()
-    }
-
-    fn set_clock_period(&mut self, period: u64) {
-        self.master.set_clock_period(period);
-    }
-
-    fn load_program(&mut self, program: Program) {
-        self.master.load_program(program);
-    }
-
-    fn append_commands(&mut self, tail: &[noc_protocols::SocketCommand], now: u64) {
-        self.master.append_commands(tail, now);
-    }
-
-    fn clone_box(&self) -> Box<dyn SocketInitiator> {
-        Box::new(self.clone())
+    fn responding(port: &StrmPort) -> bool {
+        port.rdata.valid()
     }
 }

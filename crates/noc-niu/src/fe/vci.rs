@@ -1,48 +1,31 @@
 //! VCI initiator front end (all three flavours).
 
-use crate::initiator::SocketInitiator;
-use noc_protocols::vci::{VciMaster, VciPort, VciResp};
-use noc_protocols::{CompletionLog, Program};
+use super::{deliver_one, FrontEnd, Initiator};
+use noc_protocols::vci::{VciFlavor, VciPort, VciResp, VciSocket};
 use noc_transaction::{Opcode, StreamId, TransactionRequest, TransactionResponse};
 use std::collections::VecDeque;
 
-/// Hosts a [`VciMaster`]. Pair PVCI/BVCI with
-/// [`noc_transaction::OrderingModel::FullyOrdered`] and AVCI with
+/// Hosts a [`VciMaster`](noc_protocols::vci::VciMaster). Pair PVCI/BVCI
+/// with [`noc_transaction::OrderingModel::FullyOrdered`] and AVCI with
 /// [`noc_transaction::OrderingModel::Threaded`].
-#[derive(Debug, Clone)]
-pub struct VciInitiator {
-    master: VciMaster,
-    port: VciPort,
-    resp_queue: VecDeque<VciResp>,
-}
+pub type VciInitiator = Initiator<VciSocket>;
 
 impl VciInitiator {
-    /// Creates the front end around a program-driven VCI master.
-    pub fn new(master: VciMaster) -> Self {
-        VciInitiator {
-            master,
-            port: VciPort::new(),
-            resp_queue: VecDeque::new(),
-        }
-    }
-
     /// The wrapped master's flavour.
-    pub fn flavor(&self) -> noc_protocols::vci::VciFlavor {
+    pub fn flavor(&self) -> VciFlavor {
         self.master.flavor()
     }
 }
 
-impl SocketInitiator for VciInitiator {
-    fn tick(&mut self, cycle: u64) {
-        if !self.resp_queue.is_empty() && self.port.resp.ready() {
-            let resp = self.resp_queue.pop_front().expect("checked non-empty");
-            self.port.resp.offer(resp);
-        }
-        self.master.tick(cycle, &mut self.port);
+impl FrontEnd for VciSocket {
+    type Pending = VecDeque<VciResp>;
+
+    fn deliver(pending: &mut Self::Pending, port: &mut VciPort) {
+        deliver_one(pending, &mut port.resp);
     }
 
-    fn pull_request(&mut self) -> Option<TransactionRequest> {
-        let req = self.port.req.take()?;
+    fn pull_request(port: &mut VciPort) -> Option<TransactionRequest> {
+        let req = port.req.take()?;
         let mut builder = TransactionRequest::builder(req.opcode)
             .address(req.addr)
             .burst(req.burst)
@@ -53,47 +36,29 @@ impl SocketInitiator for VciInitiator {
         Some(builder.build().expect("agent produces valid requests"))
     }
 
-    fn push_response(&mut self, stream: StreamId, opcode: Opcode, resp: TransactionResponse) {
+    fn push_response(
+        pending: &mut Self::Pending,
+        stream: StreamId,
+        opcode: Opcode,
+        resp: TransactionResponse,
+    ) {
         let data = if opcode.is_read() {
             resp.data().to_vec()
         } else {
             Vec::new()
         };
-        self.resp_queue.push_back(VciResp {
+        pending.push_back(VciResp {
             thread: stream.raw() as u8,
             status: resp.status(),
             data,
         });
     }
 
-    fn done(&self) -> bool {
-        self.master.done() && self.resp_queue.is_empty() && self.port.req.is_empty()
+    fn holds_traffic(pending: &Self::Pending, port: &VciPort) -> bool {
+        !pending.is_empty() || port.req.valid()
     }
 
-    fn log(&self) -> &CompletionLog {
-        self.master.log()
-    }
-
-    fn wake_at(&self) -> Option<u64> {
-        if !self.resp_queue.is_empty() || self.port.req.valid() || self.port.resp.valid() {
-            return Some(0); // buffered traffic keeps the front end hot
-        }
-        self.master.wake_at()
-    }
-
-    fn set_clock_period(&mut self, period: u64) {
-        self.master.set_clock_period(period);
-    }
-
-    fn load_program(&mut self, program: Program) {
-        self.master.load_program(program);
-    }
-
-    fn append_commands(&mut self, tail: &[noc_protocols::SocketCommand], now: u64) {
-        self.master.append_commands(tail, now);
-    }
-
-    fn clone_box(&self) -> Box<dyn SocketInitiator> {
-        Box::new(self.clone())
+    fn responding(port: &VciPort) -> bool {
+        port.resp.valid()
     }
 }

@@ -47,10 +47,10 @@ pub trait SocketInitiator: Send {
     fn set_clock_period(&mut self, period: u64) {
         let _ = period;
     }
-    /// Replaces the socket's program before execution starts (see the
-    /// per-master `load_program` methods for the contract). Warm-state
-    /// forking loads real workloads into checkpointed programless front
-    /// ends through this hook.
+    /// Replaces the socket's program before execution starts (see
+    /// [`noc_protocols::Master::load_program`] for the contract).
+    /// Warm-state forking loads real workloads into checkpointed
+    /// programless front ends through this hook.
     ///
     /// # Panics
     ///
@@ -79,6 +79,41 @@ pub trait SocketInitiator: Send {
 impl Clone for Box<dyn SocketInitiator> {
     fn clone(&self) -> Self {
         self.clone_box()
+    }
+}
+
+/// A boxed front end is itself a front end, so one NIU type can host
+/// heterogeneous sockets.
+impl SocketInitiator for Box<dyn SocketInitiator> {
+    fn tick(&mut self, cycle: u64) {
+        (**self).tick(cycle)
+    }
+    fn pull_request(&mut self) -> Option<TransactionRequest> {
+        (**self).pull_request()
+    }
+    fn push_response(&mut self, stream: StreamId, opcode: Opcode, resp: TransactionResponse) {
+        (**self).push_response(stream, opcode, resp)
+    }
+    fn done(&self) -> bool {
+        (**self).done()
+    }
+    fn log(&self) -> &CompletionLog {
+        (**self).log()
+    }
+    fn wake_at(&self) -> Option<u64> {
+        (**self).wake_at()
+    }
+    fn set_clock_period(&mut self, period: u64) {
+        (**self).set_clock_period(period)
+    }
+    fn load_program(&mut self, program: Program) {
+        (**self).load_program(program)
+    }
+    fn append_commands(&mut self, tail: &[noc_protocols::SocketCommand], now: u64) {
+        (**self).append_commands(tail, now)
+    }
+    fn clone_box(&self) -> Box<dyn SocketInitiator> {
+        (**self).clone_box()
     }
 }
 

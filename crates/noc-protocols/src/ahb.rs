@@ -7,10 +7,11 @@
 //! a [`Opcode::ReadLocked`] and drops it with the matching
 //! [`Opcode::WriteUnlock`].
 
-use crate::command::{CompletionLog, CompletionRecord, Program, ProgramTail, SocketCommand};
+use crate::command::{Program, SocketCommand};
 use crate::handshake::Chan;
+use crate::master::{Issuer, Master, Offer, Socket};
 use crate::memory::{access, MemoryModel};
-use noc_transaction::{Burst, MstAddr, Opcode, RespStatus, StreamId};
+use noc_transaction::{Burst, MstAddr, Opcode, RespStatus};
 use std::fmt;
 
 /// An AHB request: address phase plus (for writes) the data phase bundle.
@@ -89,162 +90,32 @@ impl Default for AhbPort {
 /// // The read observed the written data:
 /// assert_eq!(master.log().records()[1].data, master.log().records()[0].data);
 /// ```
-#[derive(Debug, Clone)]
-pub struct AhbMaster {
-    program: ProgramTail,
-    pc: usize,
-    /// Base cycle at which the head command's `delay_before` countdown
-    /// runs out; `None` while the head cannot count down (drained, or
-    /// waiting on the outstanding transfer).
-    issue_at: Option<u64>,
-    /// Base cycles per socket tick.
-    period: u64,
-    outstanding: Option<(usize, u64)>,
+pub type AhbMaster = Master<AhbSocket>;
+
+/// The AHB rules of an [`AhbMaster`]: one lane, one outstanding
+/// transfer, and the `HMASTLOCK` state a locked sequence raises.
+#[derive(Debug, Clone, Default)]
+pub struct AhbSocket {
     locked: bool,
-    log: CompletionLog,
 }
 
 impl AhbMaster {
     /// Creates a master that will execute `program`.
     pub fn new(program: Program) -> Self {
-        let mut master = AhbMaster {
-            program: ProgramTail::new(program),
-            pc: 0,
-            issue_at: None,
-            period: 1,
-            outstanding: None,
-            locked: false,
-            log: CompletionLog::new(),
-        };
-        master.arm(0);
-        master
-    }
-
-    /// Sets the socket clock: the master ticks on multiples of `period`
-    /// base cycles, so a `delay_before` of `n` ticks spans `n * period`
-    /// base cycles.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the master already issued or completed a command.
-    pub fn set_clock_period(&mut self, period: u64) {
-        assert!(period > 0, "clock period must be non-zero");
-        assert!(
-            self.pc == 0 && self.outstanding.is_none() && self.log.is_empty(),
-            "the clock can only be set before execution starts"
-        );
-        self.period = period;
-        self.issue_at = None;
-        self.arm(0);
-    }
-
-    /// Starts the head command's countdown on the tick at base cycle
-    /// `tick`, unless it already runs or the head cannot count down.
-    /// Returns the head's issue cycle.
-    fn arm(&mut self, tick: u64) -> Option<u64> {
-        if self.outstanding.is_some() || self.pc >= self.program.len() {
-            return None;
-        }
-        let delay = self.program.get(self.pc).delay_before as u64;
-        Some(*self.issue_at.get_or_insert(tick + delay * self.period))
-    }
-
-    /// Appends commands to the end of the program, mid-run. As long as
-    /// the master has not yet drained (there are unissued commands, or
-    /// there is nothing more to append), the append instant is
-    /// unobservable: the run is bit-identical to constructing the master
-    /// with the full program up front. Feeding layers rely on that to
-    /// stream unbounded workloads through a bounded window; the
-    /// fully-retired prefix is reclaimed on each call. `now` is the
-    /// current base cycle: a drained master starts counting down the
-    /// new head on its next tick.
-    pub fn append_commands(&mut self, tail: &[SocketCommand], now: u64) {
-        for cmd in tail {
-            self.program.push(cmd.clone());
-        }
-        self.arm(now.next_multiple_of(self.period));
-        let live = self
-            .outstanding
-            .map_or(self.pc, |(idx, _)| idx.min(self.pc));
-        self.program.compact_to(live);
-    }
-
-    /// Replaces the program of a master that has not started executing.
-    /// Equivalent to constructing the master with `program` in the first
-    /// place — warm-state forking relies on that equivalence.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the master already issued or completed a command.
-    pub fn load_program(&mut self, program: Program) {
-        assert!(
-            self.pc == 0 && self.outstanding.is_none() && self.log.is_empty(),
-            "programs can only be loaded before execution starts"
-        );
-        let period = self.period;
-        *self = AhbMaster::new(program);
-        self.set_clock_period(period);
-    }
-
-    /// Returns `true` when every command has completed.
-    pub fn done(&self) -> bool {
-        self.pc >= self.program.len() && self.outstanding.is_none()
-    }
-
-    /// The completion log.
-    pub fn log(&self) -> &CompletionLog {
-        &self.log
+        Master::with_socket(program, AhbSocket::default(), 1, 1)
     }
 
     /// Returns `true` while the master is inside a locked sequence.
     pub fn is_locked(&self) -> bool {
-        self.locked
+        self.socket().locked
     }
+}
 
-    /// The earliest base cycle at which a tick can change the master's
-    /// state, assuming no response reaches the port meanwhile: the head
-    /// command's issue cycle. `None` while waiting on a response or
-    /// drained.
-    pub fn wake_at(&self) -> Option<u64> {
-        self.issue_at
-    }
+impl Socket for AhbSocket {
+    type Port = AhbPort;
+    const STREAMS: bool = false;
 
-    /// Advances one socket cycle.
-    pub fn tick(&mut self, cycle: u64, port: &mut AhbPort) {
-        // Retire the outstanding transfer if its response arrived.
-        if let Some((idx, issued_at)) = self.outstanding {
-            if let Some(resp) = port.resp.take() {
-                let cmd = self.program.get(idx);
-                let data = if cmd.opcode.is_read() {
-                    resp.data
-                } else {
-                    cmd.payload()
-                };
-                self.log.push(CompletionRecord {
-                    index: idx,
-                    opcode: cmd.opcode,
-                    addr: cmd.addr,
-                    status: resp.status,
-                    data,
-                    stream: StreamId::ZERO,
-                    issued_at,
-                    completed_at: cycle,
-                });
-                if cmd.opcode == Opcode::WriteUnlock {
-                    self.locked = false;
-                }
-                self.outstanding = None;
-            } else {
-                return; // fully ordered: nothing else may happen
-            }
-        }
-        // Issue the next command.
-        match self.arm(cycle) {
-            Some(issue_at) if issue_at <= cycle => {}
-            _ => return,
-        }
-        let cmd = self.program.get(self.pc);
-        let locked_now = self.locked || cmd.opcode == Opcode::ReadLocked;
+    fn offer(&mut self, _lane: usize, cmd: &SocketCommand, port: &mut AhbPort) -> Offer {
         let req = AhbReq {
             opcode: cmd.opcode,
             addr: cmd.addr,
@@ -254,16 +125,30 @@ impl AhbMaster {
             } else {
                 Vec::new()
             },
-            locked: locked_now,
+            locked: self.locked || cmd.opcode == Opcode::ReadLocked,
         };
-        if port.req.offer(req) {
-            if cmd.opcode == Opcode::ReadLocked {
-                self.locked = true;
-            }
-            self.outstanding = Some((self.pc, cycle));
-            self.pc += 1;
-            self.issue_at = None;
+        if !port.req.offer(req) {
+            return Offer::Refused;
         }
+        self.locked |= cmd.opcode == Opcode::ReadLocked;
+        Offer::Accepted
+    }
+
+    fn retire(&mut self, core: &mut Issuer, cycle: u64, port: &mut AhbPort) {
+        if core.in_flight(0) == 0 {
+            return;
+        }
+        if let Some(resp) = port.resp.take() {
+            if core.complete(0, 0, resp.status, resp.data, cycle).opcode == Opcode::WriteUnlock {
+                self.locked = false;
+            }
+        }
+    }
+}
+
+impl fmt::Display for AhbSocket {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str("ahb")
     }
 }
 
@@ -316,18 +201,6 @@ impl AhbSlave {
                 self.pending = None;
             }
         }
-    }
-}
-
-impl fmt::Display for AhbMaster {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "ahb-master pc={}/{} ({} done)",
-            self.pc,
-            self.program.len(),
-            self.log.len()
-        )
     }
 }
 

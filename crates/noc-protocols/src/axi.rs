@@ -8,11 +8,11 @@
 //! access** pair ([`Opcode::ReadExclusive`] / [`Opcode::WriteExclusive`])
 //! answered by `EXOKAY`.
 
-use crate::command::{CompletionLog, CompletionRecord, Program, ProgramTail, SocketCommand};
+use crate::command::{Program, SocketCommand};
 use crate::handshake::Chan;
+use crate::master::{Issuer, Master, Offer, Socket};
 use crate::memory::{access, MemoryModel};
 use noc_transaction::{Burst, ExclusiveMonitor, MstAddr, Opcode, RespStatus};
-use std::collections::{HashMap, VecDeque};
 use std::fmt;
 
 /// Read-address channel beat (`AR`).
@@ -121,24 +121,14 @@ impl Default for AxiPort {
 /// }
 /// assert!(master.done());
 /// ```
+pub type AxiMaster = Master<AxiSocket>;
+
+/// The AXI rules of an [`AxiMaster`]: one lane in program order (its
+/// outstanding limit is the total limit), independent read and write
+/// channels, and a per-ID, per-direction outstanding limit.
 #[derive(Debug, Clone)]
-pub struct AxiMaster {
-    program: ProgramTail,
-    pc: usize,
-    /// Base cycle at which the head command's `delay_before` countdown
-    /// runs out; `None` while the head cannot count down (drained, or
-    /// the total outstanding limit is reached).
-    issue_at: Option<u64>,
-    /// Base cycles per socket tick.
-    period: u64,
+pub struct AxiSocket {
     per_id_limit: u32,
-    total_limit: u32,
-    /// Outstanding reads per ID: FIFO of (index, issued_at).
-    reads: HashMap<u16, VecDeque<(usize, u64)>>,
-    /// Outstanding writes per ID.
-    writes: HashMap<u16, VecDeque<(usize, u64)>>,
-    outstanding: u32,
-    log: CompletionLog,
 }
 
 impl AxiMaster {
@@ -153,171 +143,37 @@ impl AxiMaster {
             per_id_limit > 0 && total_limit > 0,
             "limits must be non-zero"
         );
-        let mut master = AxiMaster {
-            program: ProgramTail::new(program),
-            pc: 0,
-            issue_at: None,
-            period: 1,
-            per_id_limit,
-            total_limit,
-            reads: HashMap::new(),
-            writes: HashMap::new(),
-            outstanding: 0,
-            log: CompletionLog::new(),
+        Master::with_socket(program, AxiSocket { per_id_limit }, 1, total_limit)
+    }
+}
+
+/// Position of the oldest outstanding read (`is_read`) or write with
+/// ID `id`.
+fn oldest_on(core: &Issuer, is_read: bool, id: u16) -> Option<usize> {
+    core.outstanding(0)
+        .position(|c| c.opcode.is_read() == is_read && c.stream.raw() == id)
+}
+
+impl Socket for AxiSocket {
+    type Port = AxiPort;
+    const STREAMS: bool = true;
+
+    fn blocked(&self, core: &Issuer, cmd: &SocketCommand) -> bool {
+        let same = |c: &&SocketCommand| {
+            c.opcode.is_read() == cmd.opcode.is_read() && c.stream == cmd.stream
         };
-        master.arm(0);
-        master
+        core.outstanding(0).filter(same).count() as u32 >= self.per_id_limit
     }
 
-    /// Sets the socket clock — see
-    /// [`AhbMaster::set_clock_period`](crate::ahb::AhbMaster::set_clock_period).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the master already issued or completed a command.
-    pub fn set_clock_period(&mut self, period: u64) {
-        assert!(period > 0, "clock period must be non-zero");
-        assert!(
-            self.pc == 0 && self.outstanding == 0 && self.log.is_empty(),
-            "the clock can only be set before execution starts"
-        );
-        self.period = period;
-        self.issue_at = None;
-        self.arm(0);
-    }
-
-    /// Starts the head command's countdown on the tick at base cycle
-    /// `tick`, unless it already runs or the head cannot count down.
-    /// Returns the head's issue cycle.
-    fn arm(&mut self, tick: u64) -> Option<u64> {
-        if self.pc >= self.program.len() || self.outstanding >= self.total_limit {
-            return None;
-        }
-        let delay = self.program.get(self.pc).delay_before as u64;
-        Some(*self.issue_at.get_or_insert(tick + delay * self.period))
-    }
-
-    /// Appends commands to the end of the program, mid-run — see
-    /// [`AhbMaster::append_commands`](crate::ahb::AhbMaster::append_commands)
-    /// for the contract. The fully-retired prefix is reclaimed.
-    pub fn append_commands(&mut self, tail: &[SocketCommand], now: u64) {
-        for cmd in tail {
-            self.program.push(cmd.clone());
-        }
-        self.arm(now.next_multiple_of(self.period));
-        let live = self
-            .reads
-            .values()
-            .chain(self.writes.values())
-            .filter_map(|q| q.front().map(|&(idx, _)| idx))
-            .min()
-            .map_or(self.pc, |idx| idx.min(self.pc));
-        self.program.compact_to(live);
-    }
-
-    /// Replaces the program of a master that has not started executing,
-    /// keeping the outstanding limits. Equivalent to constructing the
-    /// master with `program` in the first place — warm-state forking
-    /// relies on that equivalence.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the master already issued or completed a command.
-    pub fn load_program(&mut self, program: Program) {
-        assert!(
-            self.pc == 0 && self.outstanding == 0 && self.log.is_empty(),
-            "programs can only be loaded before execution starts"
-        );
-        let period = self.period;
-        *self = AxiMaster::new(program, self.per_id_limit, self.total_limit);
-        self.set_clock_period(period);
-    }
-
-    /// Returns `true` when every command has completed.
-    pub fn done(&self) -> bool {
-        self.pc >= self.program.len() && self.outstanding == 0
-    }
-
-    /// The completion log.
-    pub fn log(&self) -> &CompletionLog {
-        &self.log
-    }
-
-    /// The earliest base cycle at which a tick can change the master's
-    /// state, assuming no response reaches the port meanwhile: the head
-    /// command's issue cycle. `None` when the issue path waits on a
-    /// response — drained, at the total limit, or with the head's ID at
-    /// its per-ID limit (which clears only when a response retires).
-    pub fn wake_at(&self) -> Option<u64> {
-        let issue_at = self.issue_at?;
-        let cmd = self.program.get(self.pc);
-        let q = if cmd.opcode.is_read() {
-            &self.reads
-        } else {
-            &self.writes
-        };
-        let id_busy = q.get(&cmd.stream.raw()).map_or(0, |v| v.len()) as u32;
-        (id_busy < self.per_id_limit).then_some(issue_at)
-    }
-
-    fn retire(
-        &mut self,
-        idx: usize,
-        issued_at: u64,
-        status: RespStatus,
-        data: Vec<u8>,
-        cycle: u64,
-    ) {
-        let cmd = self.program.get(idx);
-        let data = if cmd.opcode.is_read() {
-            data
-        } else {
-            cmd.payload()
-        };
-        self.log.push(CompletionRecord {
-            index: idx,
-            opcode: cmd.opcode,
-            addr: cmd.addr,
-            status,
-            data,
-            stream: cmd.stream,
-            issued_at,
-            completed_at: cycle,
-        });
-        self.outstanding -= 1;
-    }
-
-    /// Advances one socket cycle.
-    pub fn tick(&mut self, cycle: u64, port: &mut AxiPort) {
-        // Retire read and write responses (independent channels).
-        if let Some(r) = port.r.take() {
-            let q = self.reads.get_mut(&r.id).expect("R for unknown ID");
-            let (idx, at) = q.pop_front().expect("R with nothing outstanding");
-            self.retire(idx, at, r.status, r.data, cycle);
-        }
-        if let Some(b) = port.b.take() {
-            let q = self.writes.get_mut(&b.id).expect("B for unknown ID");
-            let (idx, at) = q.pop_front().expect("B with nothing outstanding");
-            self.retire(idx, at, b.status, Vec::new(), cycle);
-        }
-        // Issue the next command in program order.
-        match self.arm(cycle) {
-            Some(issue_at) if issue_at <= cycle => {}
-            _ => return,
-        }
-        let cmd = self.program.get(self.pc);
+    fn offer(&mut self, _lane: usize, cmd: &SocketCommand, port: &mut AxiPort) -> Offer {
         let id = cmd.stream.raw();
-        let is_read = cmd.opcode.is_read();
-        let q = if is_read { &self.reads } else { &self.writes };
-        if q.get(&id).map_or(0, |v| v.len()) as u32 >= self.per_id_limit {
-            return;
-        }
-        let accepted = if is_read {
+        let exclusive = cmd.opcode.is_exclusive();
+        let accepted = if cmd.opcode.is_read() {
             port.ar.offer(AxiAr {
                 id,
                 addr: cmd.addr,
                 burst: cmd.burst(),
-                exclusive: cmd.opcode.is_exclusive(),
+                exclusive,
             })
         } else {
             port.aw.offer(AxiAw {
@@ -325,33 +181,32 @@ impl AxiMaster {
                 addr: cmd.addr,
                 burst: cmd.burst(),
                 data: cmd.payload(),
-                exclusive: cmd.opcode.is_exclusive(),
+                exclusive,
             })
         };
         if accepted {
-            let q = if is_read {
-                self.reads.entry(id).or_default()
-            } else {
-                self.writes.entry(id).or_default()
-            };
-            q.push_back((self.pc, cycle));
-            self.outstanding += 1;
-            self.pc += 1;
-            self.issue_at = None;
-            self.arm(cycle + self.period);
+            Offer::Accepted
+        } else {
+            Offer::Refused
+        }
+    }
+
+    fn retire(&mut self, core: &mut Issuer, cycle: u64, port: &mut AxiPort) {
+        // Read and write responses retire on independent channels.
+        if let Some(r) = port.r.take() {
+            let nth = oldest_on(core, true, r.id).expect("R for unknown ID");
+            core.complete(0, nth, r.status, r.data, cycle);
+        }
+        if let Some(b) = port.b.take() {
+            let nth = oldest_on(core, false, b.id).expect("B for unknown ID");
+            core.complete(0, nth, b.status, Vec::new(), cycle);
         }
     }
 }
 
-impl fmt::Display for AxiMaster {
+impl fmt::Display for AxiSocket {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "axi-master pc={}/{} out={}",
-            self.pc,
-            self.program.len(),
-            self.outstanding
-        )
+        f.write_str("axi")
     }
 }
 

@@ -230,6 +230,7 @@ impl ProgramTail {
     /// # Panics
     ///
     /// Panics if `idx` was compacted away or is out of bounds.
+    #[inline]
     pub fn get(&self, idx: usize) -> &SocketCommand {
         assert!(
             idx >= self.base,

@@ -17,6 +17,19 @@
 //! - log-level *checkers* ([`checker`]) asserting each protocol's
 //!   ordering contract over completion logs.
 //!
+//! ## Adding a socket
+//!
+//! Every master is the one generic [`Master`] over a protocol's
+//! [`Socket`] rules (`AhbMaster = Master<AhbSocket>`, …). A new socket
+//! writes its port and beat types, its issue gate ([`Socket::blocked`],
+//! plus a per-lane outstanding limit) and how a command becomes a
+//! request and a response retires a command ([`Socket::offer`],
+//! [`Socket::retire`]). It inherits the shared [`Issuer`]: program
+//! cursor and per-thread lanes, issue deadlines and the round-robin
+//! that issues them, the clock and program-load guards, streamed
+//! appends with prefix compaction, `wake_at`, and every
+//! [`CompletionRecord`], posted writes included.
+//!
 //! ## Modelling granularity
 //!
 //! Socket *data* phases are bundled with their command (a burst's write
@@ -32,6 +45,7 @@ pub mod axi;
 pub mod checker;
 pub mod command;
 pub mod handshake;
+pub mod master;
 pub mod memory;
 pub mod ocp;
 pub mod strm;
@@ -42,4 +56,5 @@ pub use command::{
     gen_data, CompletionLog, CompletionRecord, Program, ProgramTail, ProtocolKind, SocketCommand,
 };
 pub use handshake::Chan;
+pub use master::{Issuer, Master, Offer, Socket};
 pub use memory::MemoryModel;

@@ -8,11 +8,11 @@
 //! [`Opcode::WriteConditional`]), the non-blocking alternative to legacy
 //! locks that the NoC supports with a single service bit.
 
-use crate::command::{CompletionLog, CompletionRecord, Program, ProgramTail, SocketCommand};
+use crate::command::{Program, SocketCommand};
 use crate::handshake::Chan;
+use crate::master::{Issuer, Master, Offer, Socket};
 use crate::memory::{access, MemoryModel};
 use noc_transaction::{Burst, ExclusiveMonitor, MstAddr, Opcode, RespStatus};
-use std::collections::VecDeque;
 use std::fmt;
 
 /// An OCP request group (MCmd + address + thread + write data bundle).
@@ -66,19 +66,6 @@ impl Default for OcpPort {
     }
 }
 
-/// Per-thread issue state.
-#[derive(Debug, Clone, Default)]
-struct ThreadState {
-    /// Program indices owned by this thread, in program order.
-    queue: VecDeque<usize>,
-    /// Outstanding (index, issued_at), oldest first.
-    outstanding: VecDeque<(usize, u64)>,
-    /// Base cycle at which the head command's `delay_before` countdown
-    /// runs out; `None` while the thread cannot count down (empty queue,
-    /// or at its outstanding limit).
-    issue_at: Option<u64>,
-}
-
 /// An OCP master agent: each socket thread issues its share of the
 /// program independently, in order within the thread.
 ///
@@ -103,15 +90,14 @@ struct ThreadState {
 /// }
 /// assert!(master.done());
 /// ```
+pub type OcpMaster = Master<OcpSocket>;
+
+/// The OCP rules of an [`OcpMaster`]: one lane per socket thread, a
+/// per-thread outstanding limit, and posted writes that complete on
+/// acceptance.
 #[derive(Debug, Clone)]
-pub struct OcpMaster {
-    program: ProgramTail,
-    threads: Vec<ThreadState>,
-    per_thread_limit: u32,
-    issue_rr: usize,
-    /// Base cycles per socket tick.
-    period: u64,
-    log: CompletionLog,
+pub struct OcpSocket {
+    threads: u8,
 }
 
 impl OcpMaster {
@@ -125,239 +111,60 @@ impl OcpMaster {
     pub fn new(program: Program, num_threads: u8, per_thread_limit: u32) -> Self {
         assert!(num_threads > 0, "OCP needs at least one thread");
         assert!(per_thread_limit > 0, "per-thread limit must be non-zero");
-        let mut threads = vec![ThreadState::default(); num_threads as usize];
-        for (i, cmd) in program.iter().enumerate() {
-            let t = cmd.stream.raw() as usize;
-            assert!(
-                t < threads.len(),
-                "command stream {} exceeds {} threads",
-                t,
-                num_threads
-            );
-            threads[t].queue.push_back(i);
-        }
-        let mut master = OcpMaster {
-            program: ProgramTail::new(program),
-            threads,
-            per_thread_limit,
-            issue_rr: 0,
-            period: 1,
-            log: CompletionLog::new(),
+        let socket = OcpSocket {
+            threads: num_threads,
         };
-        master.arm(0);
-        master
-    }
-
-    /// Sets the socket clock — see
-    /// [`AhbMaster::set_clock_period`](crate::ahb::AhbMaster::set_clock_period).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the master already issued or completed a command.
-    pub fn set_clock_period(&mut self, period: u64) {
-        assert!(period > 0, "clock period must be non-zero");
-        assert!(
-            self.log.is_empty() && self.threads.iter().all(|t| t.outstanding.is_empty()),
-            "the clock can only be set before execution starts"
-        );
-        self.period = period;
-        for t in &mut self.threads {
-            t.issue_at = None;
-        }
-        self.arm(0);
-    }
-
-    /// Starts the countdown of every thread head that can count down
-    /// but does not yet, as of the tick at base cycle `tick`.
-    fn arm(&mut self, tick: u64) {
-        for t in &mut self.threads {
-            let Some(&idx) = t.queue.front() else {
-                continue;
-            };
-            if t.issue_at.is_none() && (t.outstanding.len() as u32) < self.per_thread_limit {
-                let delay = self.program.get(idx).delay_before as u64;
-                t.issue_at = Some(tick + delay * self.period);
-            }
-        }
-    }
-
-    /// Appends commands to the end of the program, mid-run — see
-    /// [`AhbMaster::append_commands`](crate::ahb::AhbMaster::append_commands)
-    /// for the contract. New commands join their thread's queue exactly
-    /// as construction would have queued them; the fully-retired prefix
-    /// is reclaimed.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a command's stream exceeds the thread count.
-    pub fn append_commands(&mut self, tail: &[SocketCommand], now: u64) {
-        for cmd in tail {
-            let i = self.program.len();
-            let t = cmd.stream.raw() as usize;
-            assert!(
-                t < self.threads.len(),
-                "command stream {} exceeds {} threads",
-                t,
-                self.threads.len()
-            );
-            self.threads[t].queue.push_back(i);
-            self.program.push(cmd.clone());
-        }
-        self.arm(now.next_multiple_of(self.period));
-        let live = self
-            .threads
-            .iter()
-            .flat_map(|t| {
-                t.queue
-                    .front()
-                    .copied()
-                    .into_iter()
-                    .chain(t.outstanding.front().map(|&(idx, _)| idx))
-            })
-            .min()
-            .unwrap_or(self.program.len());
-        self.program.compact_to(live);
-    }
-
-    /// Replaces the program of a master that has not started executing,
-    /// keeping the thread count and per-thread limit. Equivalent to
-    /// constructing the master with `program` in the first place —
-    /// warm-state forking relies on that equivalence.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the master already issued or completed a command, or if
-    /// a new command's stream exceeds the thread count.
-    pub fn load_program(&mut self, program: Program) {
-        assert!(
-            self.log.is_empty() && self.threads.iter().all(|t| t.outstanding.is_empty()),
-            "programs can only be loaded before execution starts"
-        );
-        let period = self.period;
-        *self = OcpMaster::new(program, self.threads.len() as u8, self.per_thread_limit);
-        self.set_clock_period(period);
-    }
-
-    /// Returns `true` when every command has completed.
-    pub fn done(&self) -> bool {
-        self.threads
-            .iter()
-            .all(|t| t.queue.is_empty() && t.outstanding.is_empty())
-    }
-
-    /// The completion log.
-    pub fn log(&self) -> &CompletionLog {
-        &self.log
-    }
-
-    /// The earliest base cycle at which a tick can change the master's
-    /// state, assuming no response reaches the port meanwhile: the
-    /// nearest issue cycle over the threads that can count down. `None`
-    /// when every thread is drained or at its outstanding limit.
-    pub fn wake_at(&self) -> Option<u64> {
-        self.threads.iter().filter_map(|t| t.issue_at).min()
-    }
-
-    /// Advances one socket cycle.
-    pub fn tick(&mut self, cycle: u64, port: &mut OcpPort) {
-        // Retire a response: matches the oldest outstanding of its thread.
-        if let Some(resp) = port.resp.take() {
-            let t = &mut self.threads[resp.thread as usize];
-            let (idx, issued_at) = t
-                .outstanding
-                .pop_front()
-                .expect("response for thread with nothing outstanding");
-            let cmd = self.program.get(idx);
-            let data = if cmd.opcode.is_read() {
-                resp.data
-            } else {
-                cmd.payload()
-            };
-            self.log.push(CompletionRecord {
-                index: idx,
-                opcode: cmd.opcode,
-                addr: cmd.addr,
-                status: resp.status,
-                data,
-                stream: cmd.stream,
-                issued_at,
-                completed_at: cycle,
-            });
-        }
-        // Issue: round-robin across threads, one request group per cycle.
-        // Armed threads are exactly the ones that count down when the
-        // round-robin reaches them.
-        self.arm(cycle);
-        let n = self.threads.len();
-        let rr = self.issue_rr;
-        let mut reached = n;
-        for k in 0..n {
-            let ti = (rr + k) % n;
-            if !port.req.ready() {
-                reached = k;
-                break;
-            }
-            let thread = &mut self.threads[ti];
-            match thread.issue_at {
-                Some(issue_at) if issue_at <= cycle => {}
-                _ => continue,
-            }
-            let idx = *thread.queue.front().expect("armed threads hold a command");
-            let cmd = self.program.get(idx);
-            let req = OcpReq {
-                opcode: cmd.opcode,
-                thread: ti as u8,
-                addr: cmd.addr,
-                burst: cmd.burst(),
-                data: if cmd.opcode.is_write() {
-                    cmd.payload()
-                } else {
-                    Vec::new()
-                },
-            };
-            if port.req.offer(req) {
-                thread.queue.pop_front();
-                thread.issue_at = None;
-                if cmd.opcode.is_posted() {
-                    // Posted write: completes at request accept.
-                    self.log.push(CompletionRecord {
-                        index: idx,
-                        opcode: cmd.opcode,
-                        addr: cmd.addr,
-                        status: RespStatus::Okay,
-                        data: cmd.payload(),
-                        stream: cmd.stream,
-                        issued_at: cycle,
-                        completed_at: cycle,
-                    });
-                } else {
-                    thread.outstanding.push_back((idx, cycle));
-                }
-                self.issue_rr = (ti + 1) % n;
-                reached = k + 1;
-                break;
-            }
-        }
-        // A thread the round-robin never reached did not count down.
-        for k in reached..n {
-            if let Some(issue_at) = &mut self.threads[(rr + k) % n].issue_at {
-                if cycle < *issue_at {
-                    *issue_at += self.period;
-                }
-            }
-        }
-        self.arm(cycle + self.period);
+        Master::with_socket(program, socket, num_threads as usize, per_thread_limit)
     }
 }
 
-impl fmt::Display for OcpMaster {
+impl Socket for OcpSocket {
+    type Port = OcpPort;
+    const STREAMS: bool = true;
+
+    fn validate(&self, _index: usize, cmd: &SocketCommand) {
+        let t = cmd.stream.raw();
+        assert!(
+            t < self.threads as u16,
+            "command stream {t} exceeds {} threads",
+            self.threads
+        );
+    }
+
+    fn port_busy(port: &OcpPort) -> bool {
+        !port.req.ready()
+    }
+
+    fn offer(&mut self, lane: usize, cmd: &SocketCommand, port: &mut OcpPort) -> Offer {
+        let req = OcpReq {
+            opcode: cmd.opcode,
+            thread: lane as u8,
+            addr: cmd.addr,
+            burst: cmd.burst(),
+            data: if cmd.opcode.is_write() {
+                cmd.payload()
+            } else {
+                Vec::new()
+            },
+        };
+        match port.req.offer(req) {
+            false => Offer::Refused,
+            true if cmd.opcode.is_posted() => Offer::Posted,
+            true => Offer::Accepted,
+        }
+    }
+
+    fn retire(&mut self, core: &mut Issuer, cycle: u64, port: &mut OcpPort) {
+        // A response retires the oldest outstanding command of its thread.
+        if let Some(resp) = port.resp.take() {
+            core.complete(resp.thread as usize, 0, resp.status, resp.data, cycle);
+        }
+    }
+}
+
+impl fmt::Display for OcpSocket {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "ocp-master {} threads ({} done)",
-            self.threads.len(),
-            self.log.len()
-        )
+        f.write_str("ocp")
     }
 }
 

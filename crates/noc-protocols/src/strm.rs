@@ -11,10 +11,11 @@
 //!   feature supported per paper §2 by adding packet bits, not by
 //!   touching the fabric.
 
-use crate::command::{CompletionLog, CompletionRecord, Program, ProgramTail, SocketCommand};
+use crate::command::{Program, SocketCommand};
 use crate::handshake::Chan;
+use crate::master::{Issuer, Master, Offer, Socket};
 use crate::memory::{access, MemoryModel};
-use noc_transaction::{Burst, MstAddr, Opcode, RespStatus, StreamId};
+use noc_transaction::{Burst, MstAddr, Opcode, RespStatus};
 use std::collections::VecDeque;
 use std::fmt;
 
@@ -103,18 +104,13 @@ impl Default for StrmPort {
 /// }
 /// assert!(master.done());
 /// ```
+pub type StrmMaster = Master<StrmSocket>;
+
+/// The STRM rules of a [`StrmMaster`]: one lane, posted writes, and a
+/// limit on outstanding reads.
 #[derive(Debug, Clone)]
-pub struct StrmMaster {
-    program: ProgramTail,
-    pc: usize,
-    /// Base cycle at which the head command's `delay_before` countdown
-    /// runs out; `None` once drained.
-    issue_at: Option<u64>,
-    /// Base cycles per socket tick.
-    period: u64,
-    outstanding_reads: VecDeque<(usize, u64)>,
+pub struct StrmSocket {
     read_limit: u32,
-    log: CompletionLog,
 }
 
 impl StrmMaster {
@@ -126,164 +122,40 @@ impl StrmMaster {
     /// socket cannot express (anything but reads and posted writes).
     pub fn new(program: Program, read_limit: u32) -> Self {
         assert!(read_limit > 0, "read limit must be non-zero");
-        for (i, cmd) in program.iter().enumerate() {
-            assert!(
-                matches!(
-                    cmd.opcode,
-                    Opcode::Read | Opcode::WritePosted | Opcode::Write
-                ),
-                "STRM cannot express {:?} (command {i})",
-                cmd.opcode
-            );
-        }
-        let mut master = StrmMaster {
-            program: ProgramTail::new(program),
-            pc: 0,
-            issue_at: None,
-            period: 1,
-            outstanding_reads: VecDeque::new(),
-            read_limit,
-            log: CompletionLog::new(),
-        };
-        master.arm(0);
-        master
+        // Only reads stay outstanding, and the read limit gates them at
+        // issue; the lane itself always counts down.
+        Master::with_socket(program, StrmSocket { read_limit }, 1, u32::MAX)
     }
+}
 
-    /// Sets the socket clock — see
-    /// [`AhbMaster::set_clock_period`](crate::ahb::AhbMaster::set_clock_period).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the master already issued or completed a command.
-    pub fn set_clock_period(&mut self, period: u64) {
-        assert!(period > 0, "clock period must be non-zero");
+impl Socket for StrmSocket {
+    type Port = StrmPort;
+    const STREAMS: bool = false;
+
+    fn validate(&self, index: usize, cmd: &SocketCommand) {
         assert!(
-            self.pc == 0 && self.outstanding_reads.is_empty() && self.log.is_empty(),
-            "the clock can only be set before execution starts"
+            matches!(
+                cmd.opcode,
+                Opcode::Read | Opcode::WritePosted | Opcode::Write
+            ),
+            "STRM cannot express {:?} (command {index})",
+            cmd.opcode
         );
-        self.period = period;
-        self.issue_at = None;
-        self.arm(0);
     }
 
-    /// Starts the head command's countdown on the tick at base cycle
-    /// `tick`, unless it already runs or the master is drained. Returns
-    /// the head's issue cycle.
-    fn arm(&mut self, tick: u64) -> Option<u64> {
-        if self.pc >= self.program.len() {
-            return None;
-        }
-        let delay = self.program.get(self.pc).delay_before as u64;
-        Some(*self.issue_at.get_or_insert(tick + delay * self.period))
+    fn blocked(&self, core: &Issuer, cmd: &SocketCommand) -> bool {
+        cmd.opcode.is_read() && core.in_flight(0) as u32 >= self.read_limit
     }
 
-    /// Appends commands to the end of the program, mid-run — see
-    /// [`AhbMaster::append_commands`](crate::ahb::AhbMaster::append_commands)
-    /// for the contract. The fully-retired prefix is reclaimed.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a command carries an opcode the socket cannot express.
-    pub fn append_commands(&mut self, tail: &[SocketCommand], now: u64) {
-        for cmd in tail {
-            let i = self.program.len();
-            assert!(
-                matches!(
-                    cmd.opcode,
-                    Opcode::Read | Opcode::WritePosted | Opcode::Write
-                ),
-                "STRM cannot express {:?} (command {i})",
-                cmd.opcode
-            );
-            self.program.push(cmd.clone());
-        }
-        self.arm(now.next_multiple_of(self.period));
-        let live = self
-            .outstanding_reads
-            .front()
-            .map_or(self.pc, |&(idx, _)| idx.min(self.pc));
-        self.program.compact_to(live);
-    }
-
-    /// Replaces the program of a master that has not started executing,
-    /// keeping the read limit. Equivalent to constructing the master with
-    /// `program` in the first place — warm-state forking relies on that
-    /// equivalence.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the master already issued or completed a command, or if
-    /// the new program contains opcodes the socket cannot express.
-    pub fn load_program(&mut self, program: Program) {
-        assert!(
-            self.pc == 0 && self.outstanding_reads.is_empty() && self.log.is_empty(),
-            "programs can only be loaded before execution starts"
-        );
-        let period = self.period;
-        *self = StrmMaster::new(program, self.read_limit);
-        self.set_clock_period(period);
-    }
-
-    /// Returns `true` when every command has completed.
-    pub fn done(&self) -> bool {
-        self.pc >= self.program.len() && self.outstanding_reads.is_empty()
-    }
-
-    /// The completion log.
-    pub fn log(&self) -> &CompletionLog {
-        &self.log
-    }
-
-    /// The earliest base cycle at which a tick can change the master's
-    /// state, assuming no read data reaches the port meanwhile: the head
-    /// command's issue cycle. `None` when drained or when the head is a
-    /// read blocked on the read limit (which clears only when read data
-    /// retires).
-    pub fn wake_at(&self) -> Option<u64> {
-        let issue_at = self.issue_at?;
-        let blocked = self.program.get(self.pc).opcode.is_read()
-            && self.outstanding_reads.len() as u32 >= self.read_limit;
-        (!blocked).then_some(issue_at)
-    }
-
-    /// Advances one socket cycle.
-    pub fn tick(&mut self, cycle: u64, port: &mut StrmPort) {
-        if let Some(rd) = port.rdata.take() {
-            let (idx, issued_at) = self
-                .outstanding_reads
-                .pop_front()
-                .expect("read data with nothing outstanding");
-            let cmd = self.program.get(idx);
-            self.log.push(CompletionRecord {
-                index: idx,
-                opcode: cmd.opcode,
-                addr: cmd.addr,
-                status: rd.status,
-                data: rd.data,
-                stream: StreamId::ZERO,
-                issued_at,
-                completed_at: cycle,
-            });
-        }
-        match self.arm(cycle) {
-            Some(issue_at) if issue_at <= cycle => {}
-            _ => return,
-        }
-        let cmd = self.program.get(self.pc);
+    fn offer(&mut self, _lane: usize, cmd: &SocketCommand, port: &mut StrmPort) -> Offer {
         if cmd.opcode.is_read() {
-            if self.outstanding_reads.len() as u32 >= self.read_limit {
-                return;
-            }
             let req = StrmReadReq {
                 addr: cmd.addr,
                 burst: cmd.burst(),
                 urgency: cmd.pressure,
             };
             if port.rreq.offer(req) {
-                self.outstanding_reads.push_back((self.pc, cycle));
-                self.pc += 1;
-                self.issue_at = None;
-                self.arm(cycle + self.period);
+                return Offer::Accepted;
             }
         } else {
             let w = StrmWrite {
@@ -293,28 +165,22 @@ impl StrmMaster {
                 urgency: cmd.pressure,
             };
             if port.tx.offer(w) {
-                // Posted: completes at accept.
-                self.log.push(CompletionRecord {
-                    index: self.pc,
-                    opcode: cmd.opcode,
-                    addr: cmd.addr,
-                    status: RespStatus::Okay,
-                    data: cmd.payload(),
-                    stream: StreamId::ZERO,
-                    issued_at: cycle,
-                    completed_at: cycle,
-                });
-                self.pc += 1;
-                self.issue_at = None;
-                self.arm(cycle + self.period);
+                return Offer::Posted;
             }
+        }
+        Offer::Refused
+    }
+
+    fn retire(&mut self, core: &mut Issuer, cycle: u64, port: &mut StrmPort) {
+        if let Some(rd) = port.rdata.take() {
+            core.complete(0, 0, rd.status, rd.data, cycle);
         }
     }
 }
 
-impl fmt::Display for StrmMaster {
+impl fmt::Display for StrmSocket {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "strm-master pc={}/{}", self.pc, self.program.len())
+        f.write_str("strm")
     }
 }
 

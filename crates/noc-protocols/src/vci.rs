@@ -9,8 +9,9 @@
 //!   responses across threads — the paper groups its ordering model with
 //!   AXI's ID-based one.
 
-use crate::command::{CompletionLog, CompletionRecord, Program, ProgramTail, SocketCommand};
+use crate::command::{Program, SocketCommand};
 use crate::handshake::Chan;
+use crate::master::{Issuer, Master, Offer, Socket};
 use crate::memory::{access, MemoryModel};
 use noc_transaction::{Burst, ExclusiveMonitor, MstAddr, RespStatus};
 use std::collections::VecDeque;
@@ -120,23 +121,14 @@ impl Default for VciPort {
 /// }
 /// assert!(master.done());
 /// ```
+pub type VciMaster = Master<VciSocket>;
+
+/// The VCI rules of a [`VciMaster`]: one lane per AVCI thread (one for
+/// PVCI/BVCI), single-beat transfers and a single outstanding request
+/// on PVCI.
 #[derive(Debug, Clone)]
-pub struct VciMaster {
-    program: ProgramTail,
+pub struct VciSocket {
     flavor: VciFlavor,
-    /// Per-thread command queues (single queue for PVCI/BVCI).
-    queues: Vec<VecDeque<usize>>,
-    /// Per-thread outstanding FIFOs.
-    outstanding: Vec<VecDeque<(usize, u64)>>,
-    per_thread_limit: u32,
-    /// Per thread: base cycle at which the head command's
-    /// `delay_before` countdown runs out; `None` while the thread cannot
-    /// count down (empty queue, or at its outstanding limit).
-    issue_at: Vec<Option<u64>>,
-    issue_rr: usize,
-    /// Base cycles per socket tick.
-    period: u64,
-    log: CompletionLog,
 }
 
 impl VciMaster {
@@ -150,242 +142,74 @@ impl VciMaster {
     /// is zero.
     pub fn new(program: Program, flavor: VciFlavor, pipeline_depth: u32) -> Self {
         assert!(pipeline_depth > 0, "pipeline depth must be non-zero");
-        let threads = flavor.threads() as usize;
-        let mut queues = vec![VecDeque::new(); threads];
-        for (i, cmd) in program.iter().enumerate() {
-            if flavor == VciFlavor::Peripheral {
-                assert_eq!(
-                    cmd.beats, 1,
-                    "PVCI supports single-beat transfers only (command {i})"
-                );
-            }
-            let t = if threads == 1 {
-                0
-            } else {
-                cmd.stream.raw() as usize
-            };
-            assert!(t < threads, "stream {t} exceeds {threads} threads");
-            queues[t].push_back(i);
-        }
         let per_thread_limit = if flavor == VciFlavor::Peripheral {
             1
         } else {
             pipeline_depth
         };
-        let mut master = VciMaster {
-            program: ProgramTail::new(program),
-            flavor,
-            outstanding: vec![VecDeque::new(); threads],
-            issue_at: vec![None; threads],
-            queues,
-            per_thread_limit,
-            issue_rr: 0,
-            period: 1,
-            log: CompletionLog::new(),
-        };
-        master.arm(0);
-        master
-    }
-
-    /// Sets the socket clock — see
-    /// [`AhbMaster::set_clock_period`](crate::ahb::AhbMaster::set_clock_period).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the master already issued or completed a command.
-    pub fn set_clock_period(&mut self, period: u64) {
-        assert!(period > 0, "clock period must be non-zero");
-        assert!(
-            self.log.is_empty() && self.outstanding.iter().all(|o| o.is_empty()),
-            "the clock can only be set before execution starts"
-        );
-        self.period = period;
-        self.issue_at.fill(None);
-        self.arm(0);
-    }
-
-    /// Starts the countdown of every thread head that can count down
-    /// but does not yet, as of the tick at base cycle `tick`.
-    fn arm(&mut self, tick: u64) {
-        for (t, q) in self.queues.iter().enumerate() {
-            let Some(&idx) = q.front() else {
-                continue;
-            };
-            if self.issue_at[t].is_none()
-                && (self.outstanding[t].len() as u32) < self.per_thread_limit
-            {
-                let delay = self.program.get(idx).delay_before as u64;
-                self.issue_at[t] = Some(tick + delay * self.period);
-            }
-        }
+        let threads = flavor.threads() as usize;
+        Master::with_socket(program, VciSocket { flavor }, threads, per_thread_limit)
     }
 
     /// The flavour.
     pub fn flavor(&self) -> VciFlavor {
-        self.flavor
-    }
-
-    /// Appends commands to the end of the program, mid-run — see
-    /// [`AhbMaster::append_commands`](crate::ahb::AhbMaster::append_commands)
-    /// for the contract. New commands join their thread's queue exactly
-    /// as construction would have queued them; the fully-retired prefix
-    /// is reclaimed.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a command violates the flavour's constraints (multi-beat
-    /// bursts on PVCI, stream beyond the thread count).
-    pub fn append_commands(&mut self, tail: &[SocketCommand], now: u64) {
-        let threads = self.queues.len();
-        for cmd in tail {
-            let i = self.program.len();
-            if self.flavor == VciFlavor::Peripheral {
-                assert_eq!(
-                    cmd.beats, 1,
-                    "PVCI supports single-beat transfers only (command {i})"
-                );
-            }
-            let t = if threads == 1 {
-                0
-            } else {
-                cmd.stream.raw() as usize
-            };
-            assert!(t < threads, "stream {t} exceeds {threads} threads");
-            self.queues[t].push_back(i);
-            self.program.push(cmd.clone());
-        }
-        self.arm(now.next_multiple_of(self.period));
-        let live = self
-            .queues
-            .iter()
-            .zip(&self.outstanding)
-            .flat_map(|(q, o)| {
-                q.front()
-                    .copied()
-                    .into_iter()
-                    .chain(o.front().map(|&(idx, _)| idx))
-            })
-            .min()
-            .unwrap_or(self.program.len());
-        self.program.compact_to(live);
-    }
-
-    /// Replaces the program of a master that has not started executing,
-    /// keeping the flavour and pipeline depth. Equivalent to constructing
-    /// the master with `program` in the first place — warm-state forking
-    /// relies on that equivalence.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the master already issued or completed a command, or if
-    /// the new program violates the flavour's constraints.
-    pub fn load_program(&mut self, program: Program) {
-        assert!(
-            self.log.is_empty() && self.outstanding.iter().all(|o| o.is_empty()),
-            "programs can only be loaded before execution starts"
-        );
-        let period = self.period;
-        *self = VciMaster::new(program, self.flavor, self.per_thread_limit);
-        self.set_clock_period(period);
-    }
-
-    /// Returns `true` when every command has completed.
-    pub fn done(&self) -> bool {
-        self.queues.iter().all(|q| q.is_empty()) && self.outstanding.iter().all(|o| o.is_empty())
-    }
-
-    /// The completion log.
-    pub fn log(&self) -> &CompletionLog {
-        &self.log
-    }
-
-    /// The earliest base cycle at which a tick can change the master's
-    /// state, assuming no response reaches the port meanwhile: the
-    /// nearest issue cycle over the threads that can count down. `None`
-    /// when every thread is drained or at its outstanding limit.
-    pub fn wake_at(&self) -> Option<u64> {
-        self.issue_at.iter().flatten().copied().min()
-    }
-
-    /// Advances one socket cycle.
-    pub fn tick(&mut self, cycle: u64, port: &mut VciPort) {
-        if let Some(resp) = port.resp.take() {
-            let t = resp.thread as usize;
-            let (idx, issued_at) = self.outstanding[t]
-                .pop_front()
-                .expect("response with nothing outstanding");
-            let cmd = self.program.get(idx);
-            let data = if cmd.opcode.is_read() {
-                resp.data
-            } else {
-                cmd.payload()
-            };
-            self.log.push(CompletionRecord {
-                index: idx,
-                opcode: cmd.opcode,
-                addr: cmd.addr,
-                status: resp.status,
-                data,
-                stream: cmd.stream,
-                issued_at,
-                completed_at: cycle,
-            });
-        }
-        // Armed threads are exactly the ones that count down when the
-        // round-robin reaches them.
-        self.arm(cycle);
-        let n = self.queues.len();
-        let rr = self.issue_rr;
-        let mut reached = n;
-        for k in 0..n {
-            let t = (rr + k) % n;
-            if !port.req.ready() {
-                reached = k;
-                break;
-            }
-            match self.issue_at[t] {
-                Some(issue_at) if issue_at <= cycle => {}
-                _ => continue,
-            }
-            let idx = *self.queues[t]
-                .front()
-                .expect("armed threads hold a command");
-            let cmd = self.program.get(idx);
-            let req = VciReq {
-                opcode: cmd.opcode,
-                thread: t as u8,
-                addr: cmd.addr,
-                burst: cmd.burst(),
-                data: if cmd.opcode.is_write() {
-                    cmd.payload()
-                } else {
-                    Vec::new()
-                },
-            };
-            if port.req.offer(req) {
-                self.queues[t].pop_front();
-                self.issue_at[t] = None;
-                self.outstanding[t].push_back((idx, cycle));
-                self.issue_rr = (t + 1) % n;
-                reached = k + 1;
-                break;
-            }
-        }
-        // A thread the round-robin never reached did not count down.
-        for k in reached..n {
-            if let Some(issue_at) = &mut self.issue_at[(rr + k) % n] {
-                if cycle < *issue_at {
-                    *issue_at += self.period;
-                }
-            }
-        }
-        self.arm(cycle + self.period);
+        self.socket().flavor
     }
 }
 
-impl fmt::Display for VciMaster {
+impl Socket for VciSocket {
+    type Port = VciPort;
+    const STREAMS: bool = true;
+
+    fn validate(&self, index: usize, cmd: &SocketCommand) {
+        if self.flavor == VciFlavor::Peripheral {
+            assert_eq!(
+                cmd.beats, 1,
+                "PVCI supports single-beat transfers only (command {index})"
+            );
+        }
+        let threads = self.flavor.threads() as usize;
+        let t = if threads == 1 {
+            0
+        } else {
+            cmd.stream.raw() as usize
+        };
+        assert!(t < threads, "stream {t} exceeds {threads} threads");
+    }
+
+    fn port_busy(port: &VciPort) -> bool {
+        !port.req.ready()
+    }
+
+    fn offer(&mut self, lane: usize, cmd: &SocketCommand, port: &mut VciPort) -> Offer {
+        let req = VciReq {
+            opcode: cmd.opcode,
+            thread: lane as u8,
+            addr: cmd.addr,
+            burst: cmd.burst(),
+            data: if cmd.opcode.is_write() {
+                cmd.payload()
+            } else {
+                Vec::new()
+            },
+        };
+        if port.req.offer(req) {
+            Offer::Accepted
+        } else {
+            Offer::Refused
+        }
+    }
+
+    fn retire(&mut self, core: &mut Issuer, cycle: u64, port: &mut VciPort) {
+        if let Some(resp) = port.resp.take() {
+            core.complete(resp.thread as usize, 0, resp.status, resp.data, cycle);
+        }
+    }
+}
+
+impl fmt::Display for VciSocket {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}-master ({} done)", self.flavor, self.log.len())
+        self.flavor.fmt(f)
     }
 }
 

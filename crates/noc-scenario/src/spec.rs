@@ -1497,7 +1497,7 @@ impl ScenarioSpec {
         for (i, ini) in self.initiators.iter().enumerate() {
             let node = self.initiator_node(i);
             let niu = InitiatorNiu::new(
-                BoxedFe(ini.socket.build_fe(ini.program.head_program())),
+                ini.socket.build_fe(ini.program.head_program()),
                 ini.niu_config(node),
                 map.clone(),
             );
@@ -1618,48 +1618,5 @@ impl ScenarioSpec {
         let mut sim = BusSim::new(bus, self.master_names());
         sim.attach_workloads(&self.programs());
         Ok(sim)
-    }
-}
-
-/// Adapter: a boxed front end is itself a front end, letting one code
-/// path build heterogeneous NIUs.
-#[derive(Clone)]
-struct BoxedFe(Box<dyn SocketInitiator>);
-
-impl SocketInitiator for BoxedFe {
-    fn tick(&mut self, cycle: u64) {
-        self.0.tick(cycle)
-    }
-    fn pull_request(&mut self) -> Option<noc_transaction::TransactionRequest> {
-        self.0.pull_request()
-    }
-    fn push_response(
-        &mut self,
-        stream: noc_transaction::StreamId,
-        opcode: Opcode,
-        resp: noc_transaction::TransactionResponse,
-    ) {
-        self.0.push_response(stream, opcode, resp)
-    }
-    fn done(&self) -> bool {
-        self.0.done()
-    }
-    fn log(&self) -> &noc_protocols::CompletionLog {
-        self.0.log()
-    }
-    fn wake_at(&self) -> Option<u64> {
-        self.0.wake_at()
-    }
-    fn set_clock_period(&mut self, period: u64) {
-        self.0.set_clock_period(period)
-    }
-    fn load_program(&mut self, program: Program) {
-        self.0.load_program(program)
-    }
-    fn append_commands(&mut self, tail: &[noc_protocols::SocketCommand], now: u64) {
-        self.0.append_commands(tail, now)
-    }
-    fn clone_box(&self) -> Box<dyn SocketInitiator> {
-        Box::new(BoxedFe(self.0.clone_box()))
     }
 }
