@@ -91,45 +91,6 @@ impl SharedBus {
         self
     }
 
-    /// Loads one socket program per attached master (attachment order)
-    /// into a bus that has not started executing — the warm-state
-    /// forking hook (see `Soc::load_programs` in `noc-system`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the bus already stepped, or if the program count does
-    /// not match the master count.
-    pub fn load_programs(&mut self, programs: &[noc_protocols::Program]) {
-        assert!(
-            self.now == 0 && self.steps == 0,
-            "programs can only be loaded before execution starts"
-        );
-        assert_eq!(
-            programs.len(),
-            self.masters.len(),
-            "one program per attached master"
-        );
-        for (master, program) in self.masters.iter_mut().zip(programs) {
-            master.fe.load_program(program.clone());
-        }
-    }
-
-    /// Appends commands to the end of master `ordinal`'s socket program,
-    /// mid-run (same contract as `Soc::append_commands` in
-    /// `noc-system`): the appended tail extends the program without
-    /// disturbing in-flight state, and the master's wakeup is
-    /// re-registered so the calendar never sleeps past the new work.
-    pub fn append_commands(&mut self, ordinal: usize, tail: &[noc_protocols::SocketCommand]) {
-        let master = &mut self.masters[ordinal];
-        master.fe.append_commands(tail, self.now);
-        if ordinal < self.wakes.len() {
-            let at = master.fe.wake_at().map(|t| t.max(self.now));
-            self.cal.set(self.wakes[ordinal], at);
-        }
-        // Before the first step the calendar is cold and next_activity
-        // scans the masters directly, so no registration is needed.
-    }
-
     /// Attaches a memory slave serving the address range that the map
     /// assigns it (identified by base address).
     pub fn add_slave(&mut self, base: u64, mem: MemoryModel) -> &mut Self {
@@ -174,6 +135,32 @@ impl SharedBus {
 }
 
 impl Interconnect for SharedBus {
+    fn load_programs(&mut self, programs: &[noc_protocols::Program]) {
+        assert!(
+            self.now == 0 && self.steps == 0,
+            "programs can only be loaded before execution starts"
+        );
+        assert_eq!(
+            programs.len(),
+            self.masters.len(),
+            "one program per attached master"
+        );
+        for (master, program) in self.masters.iter_mut().zip(programs) {
+            master.fe.load_program(program.clone());
+        }
+    }
+
+    fn append_commands(&mut self, ordinal: usize, tail: &[noc_protocols::SocketCommand]) {
+        let master = &mut self.masters[ordinal];
+        master.fe.append_commands(tail, self.now);
+        if ordinal < self.wakes.len() {
+            let at = master.fe.wake_at().map(|t| t.max(self.now));
+            self.cal.set(self.wakes[ordinal], at);
+        }
+        // Before the first step the calendar is cold and next_activity
+        // scans the masters directly, so no registration is needed.
+    }
+
     fn step(&mut self) {
         let now = self.now;
         self.steps += 1;

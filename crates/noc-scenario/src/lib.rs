@@ -55,7 +55,7 @@ pub use program::{
     BurstySpec, Discipline, FeedSource, ProgramSpec, StochasticShape, TraceCursor, TraceSpec,
     Workload, ZipfSpec,
 };
-pub use sim::{BridgedSim, BusSim, NocSim, ScenarioReport, Simulation, StepMode};
+pub use sim::{BaselineSim, BridgedSim, BusSim, NocSim, ScenarioReport, Simulation, StepMode};
 pub use spec::{
     Backend, InitiatorSpec, LinkClassSpec, MemorySpec, NocConfigSpec, ScenarioError, ScenarioSpec,
     SocketSpec, TargetSpec, TopologySpec,

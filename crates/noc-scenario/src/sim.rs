@@ -737,49 +737,28 @@ impl fmt::Debug for NocSim {
     }
 }
 
-fn baseline_report<I: Interconnect>(
-    backend: &'static str,
-    ic: &I,
-    names: &[String],
-) -> ScenarioReport {
-    let masters = names
-        .iter()
-        .zip(ic.logs())
-        .enumerate()
-        .map(|(i, (name, log))| master_report_from_log(name, i as u16, log))
-        .collect();
-    ScenarioReport {
-        backend,
-        cycles: ic.now(),
-        steps: ic.executed_steps(),
-        all_done: ic.is_done(),
-        masters,
-        fabric: None,
-        horizon_polls: ic.horizon_polls(),
-        calendar_pops: ic.calendar_pops(),
-        occupancy: None,
-    }
-}
-
-fn baseline_logs<'a, I: Interconnect>(
-    ic: &'a I,
-    names: &'a [String],
-) -> Vec<(&'a str, &'a CompletionLog)> {
-    names.iter().map(String::as_str).zip(ic.logs()).collect()
-}
-
-/// The Fig-2 bridged reference-socket realisation of a scenario.
+/// A baseline realisation of a scenario: the Fig-2 bridged
+/// reference-socket interconnect ([`BridgedSim`]) or the shared bus
+/// ([`BusSim`]).
 #[derive(Debug, Clone)]
-pub struct BridgedSim {
-    ic: BridgedInterconnect,
+pub struct BaselineSim<I> {
+    ic: I,
+    backend: &'static str,
     names: Vec<String>,
     feeders: FeederSet,
 }
 
-impl BridgedSim {
-    pub(crate) fn new(ic: BridgedInterconnect, names: Vec<String>) -> Self {
-        BridgedSim {
+/// The Fig-2 bridged reference-socket realisation of a scenario.
+pub type BridgedSim = BaselineSim<BridgedInterconnect>;
+
+/// The shared-bus realisation of a scenario.
+pub type BusSim = BaselineSim<SharedBus>;
+
+impl<I: Interconnect> BaselineSim<I> {
+    pub(crate) fn new(backend: &'static str, ic: I, names: Vec<String>) -> Self {
+        BaselineSim {
             ic,
+            backend,
             names,
             feeders: FeederSet::default(),
         }
@@ -789,40 +768,46 @@ impl BridgedSim {
     /// window (fixed programs are already loaded into the masters).
     pub(crate) fn attach_workloads(&mut self, workloads: &[Workload]) {
         self.feeders = FeederSet::new(workloads);
-        let ic = &mut self.ic;
-        self.feeders.refill(Interconnect::now(ic), |ordinal, tail| {
-            ic.append_commands(ordinal, tail)
-        });
+        self.refill();
     }
 
-    /// The underlying interconnect, for bridge-specific counters such as
-    /// [`BridgedInterconnect::chopped_bursts`].
-    pub fn inner(&self) -> &BridgedInterconnect {
+    /// Tops up every streamed master's program window.
+    fn refill(&mut self) {
+        let ic = &mut self.ic;
+        self.feeders
+            .refill(ic.now(), |ordinal, tail| ic.append_commands(ordinal, tail));
+    }
+
+    /// The underlying interconnect, for backend-specific counters such
+    /// as [`BridgedInterconnect::chopped_bursts`] or
+    /// [`SharedBus::grants`].
+    pub fn inner(&self) -> &I {
         &self.ic
     }
 
     /// Unwraps into the lower-layer interconnect.
-    pub fn into_inner(self) -> BridgedInterconnect {
+    pub fn into_inner(self) -> I {
         self.ic
     }
 }
 
-impl Simulation for BridgedSim {
+impl<I: Interconnect + fmt::Debug + Clone + Send + 'static> Simulation for BaselineSim<I> {
     fn step(&mut self) {
-        let ic = &mut self.ic;
-        self.feeders.refill(Interconnect::now(ic), |ordinal, tail| {
-            ic.append_commands(ordinal, tail)
-        });
-        Interconnect::step(&mut self.ic);
+        self.refill();
+        self.ic.step();
     }
     fn now(&self) -> u64 {
-        Interconnect::now(&self.ic)
+        self.ic.now()
     }
     fn is_done(&self) -> bool {
-        self.feeders.exhausted() && Interconnect::is_done(&self.ic)
+        self.feeders.exhausted() && self.ic.is_done()
     }
     fn logs(&self) -> Vec<(&str, &CompletionLog)> {
-        baseline_logs(&self.ic, &self.names)
+        self.names
+            .iter()
+            .map(String::as_str)
+            .zip(self.ic.logs())
+            .collect()
     }
     fn executed_steps(&self) -> u64 {
         self.ic.executed_steps()
@@ -837,19 +822,34 @@ impl Simulation for BridgedSim {
         self.ic.calendar_pops()
     }
     fn advance_to(&mut self, horizon: u64) {
-        while Interconnect::now(&self.ic) < horizon {
-            let ic = &mut self.ic;
-            self.feeders.refill(Interconnect::now(ic), |ordinal, tail| {
-                ic.append_commands(ordinal, tail)
-            });
+        while self.ic.now() < horizon {
+            self.refill();
             self.ic.advance_to(self.feeders.bound(horizon));
-            if Simulation::is_done(self) || Interconnect::now(&self.ic) >= horizon {
+            if Simulation::is_done(self) || self.ic.now() >= horizon {
                 break;
             }
         }
     }
     fn report(&self) -> ScenarioReport {
-        baseline_report("bridged", &self.ic, &self.names)
+        let ic = &self.ic;
+        let masters = self
+            .names
+            .iter()
+            .zip(ic.logs())
+            .enumerate()
+            .map(|(i, (name, log))| master_report_from_log(name, i as u16, log))
+            .collect();
+        ScenarioReport {
+            backend: self.backend,
+            cycles: ic.now(),
+            steps: ic.executed_steps(),
+            all_done: ic.is_done(),
+            masters,
+            fabric: None,
+            horizon_polls: ic.horizon_polls(),
+            calendar_pops: ic.calendar_pops(),
+            occupancy: None,
+        }
     }
     fn snapshot(&self) -> Box<dyn Simulation> {
         Box::new(self.clone())
@@ -857,102 +857,6 @@ impl Simulation for BridgedSim {
     fn load_programs(&mut self, workloads: &[Workload]) {
         let heads: Vec<Program> = workloads.iter().map(Workload::head_program).collect();
         self.ic.load_programs(&heads);
-        self.attach_workloads(workloads);
-    }
-}
-
-/// The shared-bus realisation of a scenario.
-#[derive(Debug, Clone)]
-pub struct BusSim {
-    bus: SharedBus,
-    names: Vec<String>,
-    feeders: FeederSet,
-}
-
-impl BusSim {
-    pub(crate) fn new(bus: SharedBus, names: Vec<String>) -> Self {
-        BusSim {
-            bus,
-            names,
-            feeders: FeederSet::default(),
-        }
-    }
-
-    /// Installs the streamed-workload feeders and primes their first
-    /// window (fixed programs are already loaded into the masters).
-    pub(crate) fn attach_workloads(&mut self, workloads: &[Workload]) {
-        self.feeders = FeederSet::new(workloads);
-        let bus = &mut self.bus;
-        self.feeders
-            .refill(Interconnect::now(bus), |ordinal, tail| {
-                bus.append_commands(ordinal, tail)
-            });
-    }
-
-    /// The underlying bus, for bus-specific counters such as
-    /// [`SharedBus::grants`].
-    pub fn inner(&self) -> &SharedBus {
-        &self.bus
-    }
-
-    /// Unwraps into the lower-layer bus.
-    pub fn into_inner(self) -> SharedBus {
-        self.bus
-    }
-}
-
-impl Simulation for BusSim {
-    fn step(&mut self) {
-        let bus = &mut self.bus;
-        self.feeders
-            .refill(Interconnect::now(bus), |ordinal, tail| {
-                bus.append_commands(ordinal, tail)
-            });
-        Interconnect::step(&mut self.bus);
-    }
-    fn now(&self) -> u64 {
-        Interconnect::now(&self.bus)
-    }
-    fn is_done(&self) -> bool {
-        self.feeders.exhausted() && Interconnect::is_done(&self.bus)
-    }
-    fn logs(&self) -> Vec<(&str, &CompletionLog)> {
-        baseline_logs(&self.bus, &self.names)
-    }
-    fn executed_steps(&self) -> u64 {
-        self.bus.executed_steps()
-    }
-    fn next_activity(&self) -> Option<u64> {
-        self.bus.next_activity()
-    }
-    fn horizon_polls(&self) -> u64 {
-        self.bus.horizon_polls()
-    }
-    fn calendar_pops(&self) -> u64 {
-        self.bus.calendar_pops()
-    }
-    fn advance_to(&mut self, horizon: u64) {
-        while Interconnect::now(&self.bus) < horizon {
-            let bus = &mut self.bus;
-            self.feeders
-                .refill(Interconnect::now(bus), |ordinal, tail| {
-                    bus.append_commands(ordinal, tail)
-                });
-            self.bus.advance_to(self.feeders.bound(horizon));
-            if Simulation::is_done(self) || Interconnect::now(&self.bus) >= horizon {
-                break;
-            }
-        }
-    }
-    fn report(&self) -> ScenarioReport {
-        baseline_report("bus", &self.bus, &self.names)
-    }
-    fn snapshot(&self) -> Box<dyn Simulation> {
-        Box::new(self.clone())
-    }
-    fn load_programs(&mut self, workloads: &[Workload]) {
-        let heads: Vec<Program> = workloads.iter().map(Workload::head_program).collect();
-        self.bus.load_programs(&heads);
         self.attach_workloads(workloads);
     }
 }

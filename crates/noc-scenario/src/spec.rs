@@ -1583,7 +1583,7 @@ impl ScenarioSpec {
                 mem.target.slave_timing(),
             );
         }
-        let mut sim = BridgedSim::new(ic, self.master_names());
+        let mut sim = BridgedSim::new("bridged", ic, self.master_names());
         sim.attach_workloads(&self.programs());
         Ok(sim)
     }
@@ -1615,7 +1615,7 @@ impl ScenarioSpec {
                 mem.target.slave_timing(),
             );
         }
-        let mut sim = BusSim::new(bus, self.master_names());
+        let mut sim = BusSim::new("bus", bus, self.master_names());
         sim.attach_workloads(&self.programs());
         Ok(sim)
     }
