@@ -135,7 +135,7 @@ impl Socket for AhbSocket {
     }
 
     fn retire(&mut self, core: &mut Issuer, cycle: u64, port: &mut AhbPort) {
-        if core.in_flight(0) == 0 {
+        if core.outstanding(0).len() == 0 {
             return;
         }
         if let Some(resp) = port.resp.take() {

@@ -129,6 +129,25 @@ pub type AxiMaster = Master<AxiSocket>;
 #[derive(Debug, Clone)]
 pub struct AxiSocket {
     per_id_limit: u32,
+    /// Outstanding reads and writes per ID: `busy[id][is_write]`.
+    busy: Vec<[u32; 2]>,
+}
+
+impl AxiSocket {
+    fn busy(&self, cmd: &SocketCommand) -> u32 {
+        let dir = !cmd.opcode.is_read() as usize;
+        self.busy
+            .get(cmd.stream.raw() as usize)
+            .map_or(0, |b| b[dir])
+    }
+
+    fn busy_mut(&mut self, id: u16, is_read: bool) -> &mut u32 {
+        let id = id as usize;
+        if self.busy.len() <= id {
+            self.busy.resize(id + 1, [0; 2]);
+        }
+        &mut self.busy[id][!is_read as usize]
+    }
 }
 
 impl AxiMaster {
@@ -143,7 +162,11 @@ impl AxiMaster {
             per_id_limit > 0 && total_limit > 0,
             "limits must be non-zero"
         );
-        Master::with_socket(program, AxiSocket { per_id_limit }, 1, total_limit)
+        let socket = AxiSocket {
+            per_id_limit,
+            busy: Vec::new(),
+        };
+        Master::with_socket(program, socket, 1, total_limit)
     }
 }
 
@@ -158,11 +181,8 @@ impl Socket for AxiSocket {
     type Port = AxiPort;
     const STREAMS: bool = true;
 
-    fn blocked(&self, core: &Issuer, cmd: &SocketCommand) -> bool {
-        let same = |c: &&SocketCommand| {
-            c.opcode.is_read() == cmd.opcode.is_read() && c.stream == cmd.stream
-        };
-        core.outstanding(0).filter(same).count() as u32 >= self.per_id_limit
+    fn blocked(&self, core: &Issuer, lane: usize) -> bool {
+        self.busy(core.head(lane)) >= self.per_id_limit
     }
 
     fn offer(&mut self, _lane: usize, cmd: &SocketCommand, port: &mut AxiPort) -> Offer {
@@ -184,11 +204,11 @@ impl Socket for AxiSocket {
                 exclusive,
             })
         };
-        if accepted {
-            Offer::Accepted
-        } else {
-            Offer::Refused
+        if !accepted {
+            return Offer::Refused;
         }
+        *self.busy_mut(id, cmd.opcode.is_read()) += 1;
+        Offer::Accepted
     }
 
     fn retire(&mut self, core: &mut Issuer, cycle: u64, port: &mut AxiPort) {
@@ -196,10 +216,12 @@ impl Socket for AxiSocket {
         if let Some(r) = port.r.take() {
             let nth = oldest_on(core, true, r.id).expect("R for unknown ID");
             core.complete(0, nth, r.status, r.data, cycle);
+            *self.busy_mut(r.id, true) -= 1;
         }
         if let Some(b) = port.b.take() {
             let nth = oldest_on(core, false, b.id).expect("B for unknown ID");
             core.complete(0, nth, b.status, Vec::new(), cycle);
+            *self.busy_mut(b.id, false) -= 1;
         }
     }
 }

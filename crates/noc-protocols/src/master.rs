@@ -48,10 +48,11 @@ pub trait Socket: fmt::Debug + Clone {
         let _ = port;
         false
     }
-    /// `true` while the head command `cmd` cannot issue until a response
-    /// retires. Its deadline keeps running; `wake_at` ignores it.
-    fn blocked(&self, core: &Issuer, cmd: &SocketCommand) -> bool {
-        let _ = (core, cmd);
+    /// `true` while the head of `lane` ([`Issuer::head`]) cannot issue
+    /// until a response retires. Its deadline keeps running; `wake_at`
+    /// ignores it.
+    fn blocked(&self, core: &Issuer, lane: usize) -> bool {
+        let _ = (core, lane);
         false
     }
     /// Offers `cmd`, the head of `lane`, on the port.
@@ -108,19 +109,27 @@ impl Issuer {
         core
     }
 
+    /// The next command `lane` issues.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the lane has no unissued command.
+    #[inline]
+    pub fn head(&self, lane: usize) -> &SocketCommand {
+        let idx = self.lanes[lane]
+            .queue
+            .front()
+            .expect("lane holds a command");
+        self.program.get(*idx)
+    }
+
     /// Commands of `lane` awaiting a response, oldest first.
     #[inline]
-    pub fn outstanding(&self, lane: usize) -> impl Iterator<Item = &SocketCommand> {
+    pub fn outstanding(&self, lane: usize) -> impl ExactSizeIterator<Item = &SocketCommand> {
         self.lanes[lane]
             .outstanding
             .iter()
             .map(|&(idx, _)| self.program.get(idx))
-    }
-
-    /// Number of commands of `lane` awaiting a response.
-    #[inline]
-    pub fn in_flight(&self, lane: usize) -> usize {
-        self.lanes[lane].outstanding.len()
     }
 
     /// Retires the `nth`-oldest outstanding command of `lane` with the
@@ -177,18 +186,13 @@ impl Issuer {
         self.log.records().last().expect("just pushed")
     }
 
-    /// The lane a command queues on: its stream on threaded sockets.
-    #[inline]
-    fn lane_of(&self, cmd: &SocketCommand) -> usize {
-        if self.lanes.len() == 1 {
+    /// Queues `cmd` on its lane: its stream's on threaded sockets.
+    fn push(&mut self, cmd: SocketCommand) {
+        let lane = if self.lanes.len() == 1 {
             0
         } else {
             cmd.stream.raw() as usize
-        }
-    }
-
-    fn push(&mut self, cmd: SocketCommand) {
-        let lane = self.lane_of(&cmd);
+        };
         self.lanes[lane].queue.push_back(self.program.len());
         self.program.push(cmd);
     }
@@ -250,7 +254,7 @@ impl<S: Socket> Master<S> {
     }
 
     /// The protocol half.
-    pub fn socket(&self) -> &S {
+    pub(crate) fn socket(&self) -> &S {
         &self.socket
     }
 
@@ -345,10 +349,10 @@ impl<S: Socket> Master<S> {
         let core = &self.core;
         core.lanes
             .iter()
-            .filter_map(|l| {
+            .enumerate()
+            .filter_map(|(lane, l)| {
                 let at = l.issue_at?;
-                let head = core.program.get(*l.queue.front()?);
-                (!self.socket.blocked(core, head)).then_some(at)
+                (!self.socket.blocked(core, lane)).then_some(at)
             })
             .min()
     }
@@ -378,10 +382,10 @@ impl<S: Socket> Master<S> {
                 (Some(at), Some(&idx)) if at <= cycle => idx,
                 _ => continue,
             };
-            let cmd = core.program.get(idx);
-            if self.socket.blocked(core, cmd) {
+            if self.socket.blocked(core, lane) {
                 continue;
             }
+            let cmd = core.program.get(idx);
             let offer = self.socket.offer(lane, cmd, port);
             if offer == Offer::Refused {
                 continue;

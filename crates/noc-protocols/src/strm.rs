@@ -143,8 +143,8 @@ impl Socket for StrmSocket {
         );
     }
 
-    fn blocked(&self, core: &Issuer, cmd: &SocketCommand) -> bool {
-        cmd.opcode.is_read() && core.in_flight(0) as u32 >= self.read_limit
+    fn blocked(&self, core: &Issuer, lane: usize) -> bool {
+        core.outstanding(lane).len() as u32 >= self.read_limit && core.head(lane).opcode.is_read()
     }
 
     fn offer(&mut self, _lane: usize, cmd: &SocketCommand, port: &mut StrmPort) -> Offer {
