@@ -215,9 +215,10 @@ fn main() {
         } else {
             noc_bench::scenarios::sparse_mesh_spec(w)
         };
-        // Build cost scales with switch count (routing tables over w*w
-        // nodes) and dominates the larger rows, so pin it separately —
-        // the per-cycle scaling claim reads from horizon minus build.
+        // Build cost is linear in switch count (one routing pass shared
+        // by both fabrics, then switches and links), so pin it separately:
+        // the per-cycle scaling claim reads from horizon minus build, and
+        // the flatness gate below reads build per switch.
         {
             let spec = spec.clone();
             h.case(
@@ -255,13 +256,6 @@ fn main() {
             );
         }
     }
-    // Sharding must buy real wall-clock on the big meshes: with 4
-    // workers the stepping phase (mode minus build) must run at least
-    // 2.5x faster than the single-thread horizon reference. Only
-    // meaningful where 4 workers can actually run in parallel, so the
-    // gate arms itself on the host's core count instead of silently
-    // measuring oversubscription.
-    let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
     let step_ns = |h: &Harness, name: &str| {
         h.results
             .iter()
@@ -269,6 +263,34 @@ fn main() {
             .expect("case just ran")
             .ns_per_iter
     };
+    // Building a fabric must stay linear in its size: build cost per
+    // switch on the 32x32 mesh may be at most 2x that of the 8x8 mesh.
+    // A same-run ratio, so the gate arms on any host. (Routing XY by
+    // scanning the whole edge list per hop grew it 5.4x over that range.)
+    let per_switch: Vec<f64> = [8usize, 16, 32]
+        .iter()
+        .map(|&w| {
+            let ns = step_ns(&h, &format!("mesh_{w}x{w}_sparse_build_only")) / (w * w) as f64;
+            println!(
+                "{:<22} {:<28} {ns:>20.1} ns/switch",
+                "step_mode",
+                format!("mesh_{w}x{w}_build_per_switch")
+            );
+            ns
+        })
+        .collect();
+    let growth = per_switch[2] / per_switch[0];
+    assert!(
+        growth <= 2.0,
+        "build cost per switch must stay flat from 8x8 to 32x32, got {growth:.2}x"
+    );
+    // Sharding must buy real wall-clock on the big meshes: with 4
+    // workers the stepping phase (mode minus build) must run at least
+    // 2.5x faster than the single-thread horizon reference. Only
+    // meaningful where 4 workers can actually run in parallel, so the
+    // gate arms itself on the host's core count instead of silently
+    // measuring oversubscription.
+    let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
     for w in [16usize, 32] {
         let build = step_ns(&h, &format!("mesh_{w}x{w}_sparse_build_only"));
         let single = step_ns(&h, &format!("mesh_{w}x{w}_sparse_horizon")) - build;

@@ -25,7 +25,7 @@
 
 use noc_kernel::{Calendar, Horizon, WakeId};
 use noc_physical::{Link, LinkConfig};
-use noc_topology::{RouteAlgorithm, Topology};
+use noc_topology::{SwitchTables, Topology};
 use noc_transport::{Flit, PortId, RoutingTable, Switch, SwitchConfig, SwitchMode};
 use std::collections::{BTreeMap, HashMap, VecDeque};
 
@@ -213,27 +213,25 @@ pub struct Fabric {
 
 impl Fabric {
     /// Builds the fabric over `topology` with the given switch mode,
-    /// buffer depth, per-class link configurations and routing
-    /// algorithm. `link_cfg` shapes the switch-to-switch links,
+    /// buffer depth, per-class link configurations and precomputed
+    /// routing tables (one [`SwitchTables`] serves both fabrics of a
+    /// SoC). `link_cfg` shapes the switch-to-switch links,
     /// `endpoint_link_cfg` the injection/ejection links — the two
     /// physical link classes of the fabric.
     ///
     /// Endpoint clock divisors (`node → divisor`) shape the injection and
     /// ejection links' CDC behaviour; switches run on the base clock.
-    ///
-    /// # Errors
-    ///
-    /// Propagates routing errors from the topology.
+    /// Routing already succeeded when `tables` exist, so building cannot
+    /// fail.
     pub fn new(
         topology: &Topology,
         mode: SwitchMode,
         buffer_depth: usize,
         link_cfg: LinkConfig,
         endpoint_link_cfg: LinkConfig,
-        routing: RouteAlgorithm,
+        tables: &SwitchTables,
         clock_of: &dyn Fn(u16) -> u64,
-    ) -> Result<Fabric, noc_topology::TopologyError> {
-        let tables = topology.compute_routes(routing)?;
+    ) -> Fabric {
         let num_nodes = topology
             .attachments()
             .iter()
@@ -358,7 +356,7 @@ impl Fabric {
             // transactions); give ejection ports ample credit.
             fabric.switches[a.switch].set_output_credits(a.out_port as usize, u32::MAX / 2);
         }
-        Ok(fabric)
+        fabric
     }
 
     /// Adds a link and registers it with the wakeup calendar.

@@ -221,47 +221,48 @@ impl SocBuilder {
     /// Returns [`BuildError`] for unknown/duplicate nodes or routing
     /// failures.
     pub fn build(self) -> Result<Soc, BuildError> {
-        let mut seen = Vec::new();
+        // Node-indexed lookups keep the checks and the per-attachment
+        // clock query linear in the endpoint count.
+        let attachments = self.topology.attachments();
+        let node_slots = attachments
+            .iter()
+            .map(|a| a.node as usize + 1)
+            .max()
+            .unwrap_or(0);
+        let mut attached = vec![false; node_slots];
+        for a in attachments {
+            attached[a.node as usize] = true;
+        }
+        let mut seen = vec![false; node_slots];
+        let mut divisor = vec![1; node_slots];
         for ep in &self.endpoints {
-            if self.topology.attachment_of(ep.node).is_none() {
+            let node = ep.node as usize;
+            if !attached.get(node).copied().unwrap_or(false) {
                 return Err(BuildError::UnknownNode { node: ep.node });
             }
-            if seen.contains(&ep.node) {
+            if seen[node] {
                 return Err(BuildError::DuplicateNode { node: ep.node });
             }
-            seen.push(ep.node);
+            seen[node] = true;
+            divisor[node] = ep.clock_divisor;
         }
-        let divisors: Vec<(u16, u64)> = self
-            .endpoints
-            .iter()
-            .map(|e| (e.node, e.clock_divisor))
-            .collect();
-        let clock_of = move |node: u16| -> u64 {
-            divisors
-                .iter()
-                .find(|(n, _)| *n == node)
-                .map(|&(_, d)| d)
-                .unwrap_or(1)
-        };
+        let clock_of = |node: u16| -> u64 { divisor[node as usize] };
+        // One routing pass serves both directions: the request and
+        // response fabrics share the topology, hence the tables.
+        let tables = self.topology.compute_routes(self.config.routing)?;
         let endpoint_link = self.config.endpoint_link.unwrap_or(self.config.link);
-        let request = Fabric::new(
-            &self.topology,
-            self.config.mode,
-            self.config.buffer_depth,
-            self.config.link,
-            endpoint_link,
-            self.config.routing,
-            &clock_of,
-        )?;
-        let response = Fabric::new(
-            &self.topology,
-            self.config.mode,
-            self.config.buffer_depth,
-            self.config.link,
-            endpoint_link,
-            self.config.routing,
-            &clock_of,
-        )?;
+        let fabric = || {
+            Fabric::new(
+                &self.topology,
+                self.config.mode,
+                self.config.buffer_depth,
+                self.config.link,
+                endpoint_link,
+                &tables,
+                &clock_of,
+            )
+        };
+        let (request, response) = (fabric(), fabric());
         let mut clocks = ClockSet::new();
         let clock_ids: Vec<ClockId> = self
             .endpoints

@@ -1,4 +1,17 @@
 //! Routing-table computation.
+//!
+//! Every algorithm fills the full `switches × nodes` table on each call;
+//! the cost of one call, for `A` attachments, `S` switches and `E`
+//! directed edges, is:
+//!
+//! - [`RouteAlgorithm::XyMesh`]: O(A × S). Each entry is one lookup in
+//!   the switch's out-edge list, as long as its degree (four on a mesh).
+//! - [`RouteAlgorithm::ShortestPath`] and [`RouteAlgorithm::UpDown`]:
+//!   O(A × (S + E)), one reverse breadth-first search per attachment
+//!   (up*/down* adds one O(S + E) search for the spanning-tree levels).
+//!
+//! Adjacency lists are built and sorted once per call, never per visited
+//! switch, so the costs above hold on any graph.
 
 use crate::{Topology, TopologyError};
 use std::collections::VecDeque;
@@ -75,15 +88,23 @@ impl Topology {
     }
 
     /// BFS levels from `root` (hop distance), erroring on disconnection.
+    /// Neighbours are visited in ascending switch order, sorted once up
+    /// front rather than per queue pop.
     fn bfs_levels(&self, root: usize) -> Result<Vec<usize>, TopologyError> {
-        let adj = self.adjacency();
+        let nbrs: Vec<Vec<usize>> = self
+            .adjacency()
+            .into_iter()
+            .map(|out| {
+                let mut to: Vec<usize> = out.into_iter().map(|(_, t)| t).collect();
+                to.sort_unstable();
+                to
+            })
+            .collect();
         let mut level = vec![usize::MAX; self.num_switches];
         level[root] = 0;
         let mut q = VecDeque::from([root]);
         while let Some(s) = q.pop_front() {
-            let mut nbrs: Vec<usize> = adj[s].iter().map(|&(_, t)| t).collect();
-            nbrs.sort_unstable();
-            for t in nbrs {
+            for &t in &nbrs[s] {
                 if level[t] == usize::MAX {
                     level[t] = level[s] + 1;
                     q.push_back(t);
@@ -100,10 +121,18 @@ impl Topology {
     /// provided, hops are restricted to the up*/down* rule relative to the
     /// spanning-tree levels.
     fn routes_bfs(&self, levels: Option<&Vec<usize>>) -> Result<SwitchTables, TopologyError> {
-        // Reverse adjacency: incoming edges per switch.
-        let mut radj: Vec<Vec<(usize, usize)>> = vec![Vec::new(); self.num_switches];
-        for (i, e) in self.edges.iter().enumerate() {
-            radj[e.to].push((i, e.from));
+        // Reverse adjacency: incoming edges per switch as `(from,
+        // from_port, up)`, ordered by source switch, where `up` marks a
+        // forward edge toward a lower spanning-tree level (never set
+        // without levels). The sort is stable, so parallel links keep
+        // edge-index order among themselves.
+        let mut radj: Vec<Vec<(usize, u8, bool)>> = vec![Vec::new(); self.num_switches];
+        for e in &self.edges {
+            let up = levels.is_some_and(|lv| lv[e.to] < lv[e.from]);
+            radj[e.to].push((e.from, e.from_port, up));
+        }
+        for preds in &mut radj {
+            preds.sort_by_key(|&(from, _, _)| from);
         }
         let num_nodes = self
             .attachments
@@ -112,70 +141,39 @@ impl Topology {
             .max()
             .unwrap_or(0);
         let mut tables = vec![vec![None; num_nodes]; self.num_switches];
+        // seen[switch][phase], reset per destination.
+        let mut seen = vec![[false; 2]; self.num_switches];
+        let mut q: VecDeque<(usize, usize)> = VecDeque::new();
         for a in &self.attachments {
             // BFS outward from the destination switch along reverse edges.
-            // phase: 0 = still descending when walked forward (down-phase
-            // near destination), 1 = up-phase allowed. For up*/down*:
-            // a forward route must be up...up, down...down. Walking
-            // backwards from the destination we first traverse "down"
-            // edges (from higher level to lower... i.e. forward edge goes
-            // parent→child direction), then "up" edges.
-            let mut dist = vec![[usize::MAX; 2]; self.num_switches];
-            let mut q: VecDeque<(usize, usize)> = VecDeque::new();
-            dist[a.switch][0] = 0;
+            // A forward up*/down* route is up...up, down...down, so the
+            // backward walk from the destination first crosses "down"
+            // edges (phase 0), then "up" edges (phase 1), and once in
+            // phase 1 never crosses a down edge again. Without levels
+            // every edge is a down edge and the walk stays in phase 0.
+            seen.fill([false; 2]);
+            seen[a.switch][0] = true;
             q.push_back((a.switch, 0));
             tables[a.switch][a.node as usize] = Some(a.out_port);
             while let Some((s, phase)) = q.pop_front() {
-                let mut preds: Vec<(usize, usize)> = radj[s].clone();
-                preds.sort_by_key(|&(_, from)| from);
-                for (edge_idx, from) in preds {
-                    let e = &self.edges[edge_idx];
-                    // Determine the forward direction class of this edge
-                    // under up*/down*: "up" = toward lower level.
-                    let allowed_phases: &[usize] = match levels {
-                        None => &[0],
-                        Some(lv) => {
-                            let up = lv[e.to] < lv[e.from];
-                            if up {
-                                // Forward "up" edge: only usable before any
-                                // down edge, i.e. backward walk must be in
-                                // phase 1 (or entering it).
-                                &[1]
-                            } else {
-                                // Forward "down" edge: backward phase 0
-                                // stays 0; from phase 1 it is illegal
-                                // (down-then-up forward).
-                                &[0]
-                            }
-                        }
-                    };
-                    for &p_edge in allowed_phases {
-                        // Backward walk: current phase must be <= edge
-                        // phase (once we've walked an up edge backwards,
-                        // we may continue with up edges only).
-                        let next_phase = p_edge.max(phase);
-                        if next_phase < phase {
-                            continue;
-                        }
-                        if levels.is_some() && phase == 1 && p_edge == 0 {
-                            continue; // down edge after up edge (backward) is illegal
-                        }
-                        if dist[from][next_phase] != usize::MAX {
-                            continue;
-                        }
-                        dist[from][next_phase] = dist[s][phase] + 1;
-                        // First writer wins → BFS shortest, deterministic.
-                        if tables[from][a.node as usize].is_none() {
-                            tables[from][a.node as usize] = Some(e.from_port);
-                        }
-                        q.push_back((from, next_phase));
+                for &(from, port, up) in &radj[s] {
+                    if phase == 1 && !up {
+                        continue; // down edge after up edge (backward) is illegal
                     }
+                    let next_phase = usize::from(up);
+                    if seen[from][next_phase] {
+                        continue;
+                    }
+                    seen[from][next_phase] = true;
+                    // First writer wins → BFS shortest, deterministic.
+                    if tables[from][a.node as usize].is_none() {
+                        tables[from][a.node as usize] = Some(port);
+                    }
+                    q.push_back((from, next_phase));
                 }
             }
             // Connectivity check for this destination.
-            if let Some(s) = (0..self.num_switches)
-                .find(|&s| dist[s][0] == usize::MAX && dist[s][1] == usize::MAX)
-            {
+            if let Some(s) = seen.iter().position(|&p| p == [false; 2]) {
                 return Err(TopologyError::Disconnected {
                     from: s,
                     to: a.switch,
@@ -205,12 +203,15 @@ impl Topology {
             .map(|a| a.node as usize + 1)
             .max()
             .unwrap_or(0);
-        // Map (from, to) switch pairs to output ports.
+        // Map (from, to) switch pairs to output ports through each
+        // switch's out-edges (edge-index order, so the first of parallel
+        // links wins): O(degree) per lookup, not O(edges).
+        let out = self.adjacency();
         let port_towards = |from: usize, to: usize| -> Option<u8> {
-            self.edges
+            out[from]
                 .iter()
-                .find(|e| e.from == from && e.to == to)
-                .map(|e| e.from_port)
+                .find(|&&(_, t)| t == to)
+                .map(|&(i, _)| self.edges[i].from_port)
         };
         let mut tables = vec![vec![None; num_nodes]; self.num_switches];
         for a in &self.attachments {
