@@ -236,7 +236,7 @@ impl BridgedInterconnect {
 }
 
 impl Interconnect for BridgedInterconnect {
-    fn load_programs(&mut self, programs: &[noc_protocols::Program]) {
+    fn load_programs(&mut self, programs: Vec<Box<dyn noc_protocols::CommandSource>>) {
         assert!(
             self.now == 0 && self.steps == 0,
             "programs can only be loaded before execution starts"
@@ -247,19 +247,8 @@ impl Interconnect for BridgedInterconnect {
             "one program per attached master"
         );
         for (master, program) in self.masters.iter_mut().zip(programs) {
-            master.fe.load_program(program.clone());
+            master.fe.load_program(program);
         }
-    }
-
-    fn append_commands(&mut self, ordinal: usize, tail: &[noc_protocols::SocketCommand]) {
-        let master = &mut self.masters[ordinal];
-        master.fe.append_commands(tail, self.now);
-        if ordinal < self.wakes.len() {
-            let at = master.fe.wake_at().map(|t| t.max(self.now));
-            self.cal.set(self.wakes[ordinal], at);
-        }
-        // Before the first step the calendar is cold and next_activity
-        // scans the masters directly, so no registration is needed.
     }
 
     fn step(&mut self) {
@@ -524,8 +513,7 @@ impl Interconnect for BridgedInterconnect {
 
     /// The true event horizon of the bridged pipeline — in-flight
     /// traffic no longer forces dense stepping. Every event source
-    /// ([`BridgedInterconnect::refresh_calendar`]: master wake
-    /// cycles, per-bridge front sub-request service times,
+    /// (master wake cycles, per-bridge front sub-request service times,
     /// per-bridge oldest-parent response deliveries) re-registers its
     /// wakeup after each step, so the answer is a calendar peek, not a
     /// scan. Stale entries are early, never late; an early wakeup costs

@@ -135,7 +135,7 @@ impl SharedBus {
 }
 
 impl Interconnect for SharedBus {
-    fn load_programs(&mut self, programs: &[noc_protocols::Program]) {
+    fn load_programs(&mut self, programs: Vec<Box<dyn noc_protocols::CommandSource>>) {
         assert!(
             self.now == 0 && self.steps == 0,
             "programs can only be loaded before execution starts"
@@ -146,19 +146,8 @@ impl Interconnect for SharedBus {
             "one program per attached master"
         );
         for (master, program) in self.masters.iter_mut().zip(programs) {
-            master.fe.load_program(program.clone());
+            master.fe.load_program(program);
         }
-    }
-
-    fn append_commands(&mut self, ordinal: usize, tail: &[noc_protocols::SocketCommand]) {
-        let master = &mut self.masters[ordinal];
-        master.fe.append_commands(tail, self.now);
-        if ordinal < self.wakes.len() {
-            let at = master.fe.wake_at().map(|t| t.max(self.now));
-            self.cal.set(self.wakes[ordinal], at);
-        }
-        // Before the first step the calendar is cold and next_activity
-        // scans the masters directly, so no registration is needed.
     }
 
     fn step(&mut self) {

@@ -27,7 +27,7 @@ pub use bridged::{BridgeConfig, BridgedInterconnect};
 pub use bus::{BusConfig, SharedBus};
 
 use noc_niu::SocketInitiator;
-use noc_protocols::{CompletionLog, Program, SocketCommand};
+use noc_protocols::{CommandSource, CompletionLog};
 
 /// Common reporting surface of the baselines.
 pub trait Interconnect {
@@ -40,21 +40,15 @@ pub trait Interconnect {
     /// Cycles simulated so far.
     fn now(&self) -> u64;
     /// Loads one socket program per attached master (attachment order)
-    /// into an interconnect that has not started executing — the
-    /// warm-state forking hook (see `Soc::load_programs` in
-    /// `noc-system`).
+    /// into an interconnect that has not started executing — the hook
+    /// scenario builds and warm-state forks load every workload through
+    /// (see `Soc::load_programs` in `noc-system`).
     ///
     /// # Panics
     ///
     /// Panics if the interconnect already stepped, or if the program
     /// count does not match the master count.
-    fn load_programs(&mut self, programs: &[Program]);
-    /// Appends commands to the end of master `ordinal`'s socket program,
-    /// mid-run (same contract as `Soc::append_commands` in
-    /// `noc-system`): the appended tail extends the program without
-    /// disturbing in-flight state, and the master's wakeup is
-    /// re-registered so the calendar never sleeps past the new work.
-    fn append_commands(&mut self, ordinal: usize, tail: &[SocketCommand]);
+    fn load_programs(&mut self, programs: Vec<Box<dyn CommandSource>>);
     /// Cycles actually stepped, excluding the cycles horizon stepping
     /// jumped over. Dense runs execute exactly [`Interconnect::now`]
     /// steps, so the dense/horizon ratio measures the skip win; the

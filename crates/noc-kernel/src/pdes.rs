@@ -33,11 +33,11 @@ use std::sync::{Mutex, MutexGuard};
 /// use noc_kernel::EpochPlanner;
 /// let planner = EpochPlanner::new(4);
 /// // Earliest global activity at cycle 10: everyone may run to 14.
-/// assert_eq!(planner.window(Some(10), [u64::MAX]), 14);
-/// // A feeder bound caps the window.
-/// assert_eq!(planner.window(Some(10), [12]), 12);
-/// // No region will ever self-act again: only the caps bound the window.
-/// assert_eq!(planner.window(None, [100]), 100);
+/// assert_eq!(planner.window(Some(10), u64::MAX), 14);
+/// // The run horizon caps the window.
+/// assert_eq!(planner.window(Some(10), 12), 12);
+/// // No region will ever self-act again: only the horizon bounds the window.
+/// assert_eq!(planner.window(None, 100), 100);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EpochPlanner {
@@ -67,17 +67,15 @@ impl EpochPlanner {
     ///
     /// `global_next` is the earliest cycle at which *any* region can
     /// possibly act (`None` when every region is quiescent absent
-    /// external input); `caps` are additional exclusive bounds (run
-    /// horizon, workload-feeder release bounds). Since no region acts
-    /// before `global_next`, no cross-region message can take effect
-    /// before `global_next + lookahead`; quiescent systems are bounded
-    /// by the caps alone.
-    pub fn window(&self, global_next: Option<u64>, caps: impl IntoIterator<Item = u64>) -> u64 {
-        let from_activity = match global_next {
-            Some(x) => x.saturating_add(self.lookahead),
-            None => u64::MAX,
-        };
-        caps.into_iter().fold(from_activity, u64::min)
+    /// external input); `horizon` is the run's exclusive end. Since no
+    /// region acts before `global_next`, no cross-region message can
+    /// take effect before `global_next + lookahead`; quiescent systems
+    /// are bounded by the horizon alone.
+    pub fn window(&self, global_next: Option<u64>, horizon: u64) -> u64 {
+        match global_next {
+            Some(x) => x.saturating_add(self.lookahead).min(horizon),
+            None => horizon,
+        }
     }
 }
 
@@ -257,21 +255,21 @@ mod tests {
     fn window_is_next_plus_lookahead() {
         let p = EpochPlanner::new(3);
         assert_eq!(p.lookahead(), 3);
-        assert_eq!(p.window(Some(7), []), 10);
+        assert_eq!(p.window(Some(7), u64::MAX), 10);
     }
 
     #[test]
     fn window_caps_apply() {
         let p = EpochPlanner::new(3);
-        assert_eq!(p.window(Some(7), [9, 100]), 9);
-        assert_eq!(p.window(None, [9, 5]), 5);
+        assert_eq!(p.window(Some(7), 9), 9);
+        assert_eq!(p.window(None, 5), 5);
     }
 
     #[test]
     fn window_saturates_near_sentinel() {
         let p = EpochPlanner::new(10);
-        assert_eq!(p.window(Some(u64::MAX - 3), []), u64::MAX);
-        assert_eq!(p.window(None, []), u64::MAX);
+        assert_eq!(p.window(Some(u64::MAX - 3), u64::MAX), u64::MAX);
+        assert_eq!(p.window(None, u64::MAX), u64::MAX);
     }
 
     #[test]

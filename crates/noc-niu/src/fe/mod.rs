@@ -15,8 +15,8 @@
 //! - its request/response mapping, as a [`FrontEnd`] implementation.
 //!
 //! It inherits the rest. The shared [`noc_protocols::Master`] brings the
-//! program cursor, issue deadlines, clock and program-load guards,
-//! streamed appends, `wake_at` and completion records. The generic
+//! command source it pulls from, issue deadlines, clock and program-load
+//! guards, `wake_at` and completion records. The generic
 //! [`Initiator`] brings the [`SocketInitiator`] implementation:
 //! response buffering, draining and the dead-time contract.
 
@@ -35,7 +35,7 @@ pub use strm::StrmInitiator;
 pub use vci::VciInitiator;
 
 use crate::initiator::SocketInitiator;
-use noc_protocols::{CompletionLog, Master, Program, Socket, SocketCommand};
+use noc_protocols::{CommandSource, CompletionLog, Master, Socket};
 use noc_transaction::{Opcode, StreamId, TransactionRequest, TransactionResponse};
 use std::fmt;
 
@@ -121,12 +121,8 @@ impl<S: FrontEnd> SocketInitiator for Initiator<S> {
         self.master.set_clock_period(period);
     }
 
-    fn load_program(&mut self, program: Program) {
+    fn load_program(&mut self, program: Box<dyn CommandSource>) {
         self.master.load_program(program);
-    }
-
-    fn append_commands(&mut self, tail: &[SocketCommand], now: u64) {
-        self.master.append_commands(tail, now);
     }
 
     fn clone_box(&self) -> Box<dyn SocketInitiator> {

@@ -1,7 +1,7 @@
 //! The protocol-neutral initiator NIU back end.
 
 use crate::codec::{decode_response, encode_request};
-use noc_protocols::{CompletionLog, Program};
+use noc_protocols::{CommandSource, CompletionLog};
 use noc_transaction::{
     AddressMap, MstAddr, Opcode, OrderingModel, OrderingPolicy, RespStatus, ServiceBits,
     ServiceConfig, StreamId, TargetRule, TransactionRequest, TransactionResponse, TransactionTable,
@@ -47,29 +47,18 @@ pub trait SocketInitiator: Send {
     fn set_clock_period(&mut self, period: u64) {
         let _ = period;
     }
-    /// Replaces the socket's program before execution starts (see
+    /// Replaces the socket's program before execution starts with the
+    /// commands `program` streams (see
     /// [`noc_protocols::Master::load_program`] for the contract).
-    /// Warm-state forking loads real workloads into checkpointed
-    /// programless front ends through this hook.
+    /// Scenario builds and warm-state forks load every workload,
+    /// explicit or streamed, into programless front ends through this
+    /// hook.
     ///
     /// # Panics
     ///
-    /// Panics if the socket already issued or completed a command.
-    fn load_program(&mut self, program: Program);
-    /// Appends commands to the end of the socket's program at base cycle
-    /// `now`, mid-run. While the socket still has unissued commands, the
-    /// append instant is unobservable — the run is bit-identical to
-    /// constructing the master with the full program up front (a
-    /// drained socket starts counting the new head down on its next
-    /// tick after `now`). Feeding layers stream
-    /// unbounded workloads (traces, generated storms) through this hook,
-    /// and the master reclaims its fully-retired prefix on each call.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a command violates the socket's constraints (stream
-    /// beyond the thread count, opcodes the socket cannot express, …).
-    fn append_commands(&mut self, tail: &[noc_protocols::SocketCommand], now: u64);
+    /// Panics if the socket already issued or completed a command, or
+    /// if a pulled command violates the socket's constraints.
+    fn load_program(&mut self, program: Box<dyn CommandSource>);
     /// Clones the front end behind the object-safe interface, enabling
     /// `Clone` for `Box<dyn SocketInitiator>` and therefore snapshots of
     /// whole simulations.
@@ -106,11 +95,8 @@ impl SocketInitiator for Box<dyn SocketInitiator> {
     fn set_clock_period(&mut self, period: u64) {
         (**self).set_clock_period(period)
     }
-    fn load_program(&mut self, program: Program) {
+    fn load_program(&mut self, program: Box<dyn CommandSource>) {
         (**self).load_program(program)
-    }
-    fn append_commands(&mut self, tail: &[noc_protocols::SocketCommand], now: u64) {
-        (**self).append_commands(tail, now)
     }
     fn clone_box(&self) -> Box<dyn SocketInitiator> {
         (**self).clone_box()
@@ -468,11 +454,8 @@ impl<FE: SocketInitiator + Clone + 'static> crate::NocEndpoint for InitiatorNiu<
     fn set_clock(&mut self, clock: noc_kernel::ClockDomain) {
         self.fe.set_clock_period(clock.divisor());
     }
-    fn load_program(&mut self, program: Program) {
+    fn load_program(&mut self, program: Box<dyn CommandSource>) {
         self.fe.load_program(program);
-    }
-    fn append_commands(&mut self, tail: &[noc_protocols::SocketCommand], now: u64) {
-        self.fe.append_commands(tail, now);
     }
     fn clone_box(&self) -> Box<dyn crate::NocEndpoint> {
         Box::new(self.clone())

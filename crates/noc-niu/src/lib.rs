@@ -79,26 +79,14 @@ pub trait NocEndpoint: Send {
         let _ = clock;
     }
     /// Replaces the program of an initiator endpoint's socket before
-    /// execution starts (warm-state forking). Target endpoints never
-    /// receive this call.
+    /// execution starts with the commands `program` streams. Target
+    /// endpoints never receive this call.
     ///
     /// # Panics
     ///
     /// Panics by default: only initiator endpoints execute programs.
-    fn load_program(&mut self, program: noc_protocols::Program) {
+    fn load_program(&mut self, program: Box<dyn noc_protocols::CommandSource>) {
         let _ = program;
-        panic!("this endpoint does not execute a socket program");
-    }
-    /// Appends commands to the end of an initiator endpoint's socket
-    /// program at base cycle `now`, mid-run (see
-    /// [`SocketInitiator::append_commands`](crate::initiator::SocketInitiator::append_commands)).
-    /// Target endpoints never receive this call.
-    ///
-    /// # Panics
-    ///
-    /// Panics by default: only initiator endpoints execute programs.
-    fn append_commands(&mut self, tail: &[noc_protocols::SocketCommand], now: u64) {
-        let _ = (tail, now);
         panic!("this endpoint does not execute a socket program");
     }
     /// Clones the endpoint behind the object-safe interface, enabling

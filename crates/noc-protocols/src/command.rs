@@ -1,9 +1,10 @@
 //! Socket-neutral command programs and completion logs.
 //!
-//! Workload generators emit [`Program`]s of [`SocketCommand`]s; each
-//! protocol's master agent executes a program under its own ordering
-//! rules and records [`CompletionRecord`]s, from which experiments compute
-//! latency statistics and functional fingerprints.
+//! Workload generators emit [`Program`]s of [`SocketCommand`]s, or
+//! stream them through a [`CommandSource`]; each protocol's master agent
+//! executes a program under its own ordering rules and records
+//! [`CompletionRecord`]s, from which experiments compute latency
+//! statistics and functional fingerprints.
 
 use noc_transaction::{Burst, BurstKind, Fingerprint, Opcode, RespStatus, StreamId};
 use std::fmt;
@@ -173,98 +174,54 @@ impl fmt::Display for SocketCommand {
 /// A master's workload: the command sequence it issues in order.
 pub type Program = Vec<SocketCommand>;
 
-/// Program storage that supports appending commands mid-run and
-/// reclaiming the fully-retired prefix, so a master replaying a streamed
-/// workload (a trace fed chunk by chunk) holds only the live window of
-/// its virtually unbounded program.
+/// A master's command stream, pulled by the master itself as its lanes
+/// run dry (see [`Master`](crate::Master)). A [`Program`] is the
+/// simplest source: its first pull hands over every command.
+/// Generated and traced workloads stream their commands chunk by chunk,
+/// so an unbounded workload never has to be resident.
 ///
-/// Indices are *virtual*: they keep counting monotonically across
-/// compaction, so [`CompletionRecord::index`] values and queued indices
-/// inside master agents stay valid after the prefix is dropped.
+/// Sources are plain cloneable state behind an object-safe interface:
+/// cloning a master clones its source at the exact stream position,
+/// which is what makes whole-simulation snapshots resume the stream
+/// bit-identically.
 ///
 /// # Examples
 ///
 /// ```
-/// use noc_protocols::{ProgramTail, SocketCommand};
+/// use noc_protocols::{CommandSource, SocketCommand};
 ///
-/// let mut tail = ProgramTail::new(vec![SocketCommand::read(0x0, 1)]);
-/// tail.push(SocketCommand::read(0x8, 1));
-/// assert_eq!(tail.len(), 2);
-/// assert_eq!(tail.get(1).addr, 0x8);
-/// tail.compact_to(1); // index 0 fully retired
-/// assert_eq!(tail.len(), 2); // virtual length is unchanged
-/// assert_eq!(tail.get(1).addr, 0x8);
+/// let mut program = vec![SocketCommand::read(0x0, 4), SocketCommand::read(0x8, 4)];
+/// assert_eq!(program.pull().len(), 2);
+/// assert!(program.pull().is_empty(), "an empty pull ends the stream");
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct ProgramTail {
-    cmds: Program,
-    base: usize,
+pub trait CommandSource: fmt::Debug + Send {
+    /// The next commands of the stream, in stream order: at least one,
+    /// or none once the stream has ended.
+    fn pull(&mut self) -> Vec<SocketCommand>;
+    /// `false` if the stream never carries a command on `stream`. A
+    /// threaded master never pulls on behalf of a lane its source does
+    /// not feed, so a source that answers precisely is not drained
+    /// ahead of need. The default claims every stream.
+    fn feeds(&self, stream: StreamId) -> bool {
+        let _ = stream;
+        true
+    }
+    /// Clones the source behind the object-safe interface.
+    fn clone_box(&self) -> Box<dyn CommandSource>;
 }
 
-impl ProgramTail {
-    /// Wraps a program; virtual indices start at 0.
-    pub fn new(program: Program) -> Self {
-        ProgramTail {
-            cmds: program,
-            base: 0,
-        }
-    }
-
-    /// The virtual length: total commands ever held, compacted included.
-    pub fn len(&self) -> usize {
-        self.base + self.cmds.len()
-    }
-
-    /// `true` when no command was ever held.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// The lowest virtual index still held.
-    pub fn base(&self) -> usize {
-        self.base
-    }
-
-    /// The command at virtual index `idx`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `idx` was compacted away or is out of bounds.
-    #[inline]
-    pub fn get(&self, idx: usize) -> &SocketCommand {
-        assert!(
-            idx >= self.base,
-            "virtual index {idx} was compacted (base {})",
-            self.base
-        );
-        &self.cmds[idx - self.base]
-    }
-
-    /// Appends a command at the next virtual index.
-    pub fn push(&mut self, cmd: SocketCommand) {
-        self.cmds.push(cmd);
-    }
-
-    /// Drops every command below virtual index `keep_from` (clamped to
-    /// the virtual length). Cost is O(live window), not O(history): the
-    /// commands at or above `keep_from` are the only ones moved.
-    pub fn compact_to(&mut self, keep_from: usize) {
-        let keep_from = keep_from.min(self.len());
-        if keep_from > self.base {
-            self.cmds.drain(..keep_from - self.base);
-            self.base = keep_from;
-        }
-    }
-
-    /// Iterates the retained (non-compacted) commands in order.
-    pub fn iter_live(&self) -> impl Iterator<Item = &SocketCommand> {
-        self.cmds.iter()
+impl Clone for Box<dyn CommandSource> {
+    fn clone(&self) -> Self {
+        self.clone_box()
     }
 }
 
-impl From<Program> for ProgramTail {
-    fn from(program: Program) -> Self {
-        ProgramTail::new(program)
+impl CommandSource for Program {
+    fn pull(&mut self) -> Vec<SocketCommand> {
+        std::mem::take(self)
+    }
+    fn clone_box(&self) -> Box<dyn CommandSource> {
+        Box::new(self.clone())
     }
 }
 

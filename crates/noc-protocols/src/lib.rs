@@ -24,10 +24,10 @@
 //! writes its port and beat types, its issue gate ([`Socket::blocked`],
 //! plus a per-lane outstanding limit) and how a command becomes a
 //! request and a response retires a command ([`Socket::offer`],
-//! [`Socket::retire`]). It inherits the shared [`Issuer`]: program
-//! cursor and per-thread lanes, issue deadlines and the round-robin
-//! that issues them, the clock and program-load guards, streamed
-//! appends with prefix compaction, `wake_at`, and every
+//! [`Socket::retire`]). It inherits the shared [`Issuer`]: the
+//! [`CommandSource`] it pulls commands from and the per-thread lanes
+//! that own them, issue deadlines and the round-robin that issues them,
+//! the clock and program-load guards, `wake_at`, and every
 //! [`CompletionRecord`], posted writes included.
 //!
 //! ## Modelling granularity
@@ -53,7 +53,7 @@ pub mod vci;
 
 pub use checker::{check_ahb_order, check_axi_order, check_ocp_order, OrderingViolation};
 pub use command::{
-    gen_data, CompletionLog, CompletionRecord, Program, ProgramTail, ProtocolKind, SocketCommand,
+    gen_data, CommandSource, CompletionLog, CompletionRecord, Program, ProtocolKind, SocketCommand,
 };
 pub use handshake::Chan;
 pub use master::{Issuer, Master, Offer, Socket};

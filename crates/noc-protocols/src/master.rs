@@ -3,8 +3,9 @@
 //! A master agent splits in two halves:
 //!
 //! - the [`Issuer`] owns everything a socket does not decide: the
-//!   program tail, per-lane command queues and issue deadlines, the
-//!   clock period, the outstanding commands and the completion log;
+//!   [`CommandSource`] and the per-lane command queues it fills, issue
+//!   deadlines, the clock period, the outstanding commands and the
+//!   completion log;
 //! - a [`Socket`] implementation owns what the protocol does decide:
 //!   its port and beat types, its issue gate, and how a command becomes
 //!   a request and a response retires a command.
@@ -13,8 +14,15 @@
 //! over lanes (socket threads; a single lane for ordered and ID-based
 //! sockets), one request per tick. A lane the round-robin does not reach
 //! because the port is busy misses that tick of its countdown.
+//!
+//! The master pulls its own commands: whenever a lane its source feeds
+//! holds no queued command, it pulls until that lane holds one or the
+//! source ends, queueing the other lanes' commands as they arrive.
+//! Every lane head is therefore present whenever an up-front program
+//! would have it, so a streamed source runs bit-identically to the
+//! program it yields, however it chunks its pulls.
 
-use crate::command::{CompletionLog, CompletionRecord, Program, ProgramTail, SocketCommand};
+use crate::command::{CommandSource, CompletionLog, CompletionRecord, Program, SocketCommand};
 use noc_transaction::{RespStatus, StreamId};
 use std::collections::VecDeque;
 use std::fmt;
@@ -65,11 +73,12 @@ pub trait Socket: fmt::Debug + Clone {
 /// One issue lane: a socket thread, or the whole socket.
 #[derive(Debug, Clone, Default)]
 struct Lane {
-    /// Program indices waiting to issue, in program order.
-    queue: VecDeque<usize>,
-    /// Issued commands awaiting a response: (index, issued_at), in
-    /// issue order.
-    outstanding: VecDeque<(usize, u64)>,
+    /// Commands waiting to issue, with their program indices, in
+    /// program order.
+    queue: VecDeque<(usize, SocketCommand)>,
+    /// Issued commands awaiting a response: (index, issued_at,
+    /// command), in issue order.
+    outstanding: VecDeque<(usize, u64, SocketCommand)>,
     /// Base cycle at which the head command's `delay_before` countdown
     /// runs out; `None` while the lane cannot count down (empty queue,
     /// or at its outstanding limit).
@@ -79,7 +88,10 @@ struct Lane {
 /// The protocol-neutral issue core of a [`Master`].
 #[derive(Debug, Clone)]
 pub struct Issuer {
-    program: ProgramTail,
+    /// Where the lanes' commands come from; `None` once it ended.
+    source: Option<Box<dyn CommandSource>>,
+    /// Commands pulled so far: the program index of the next one.
+    pulled: usize,
     lanes: Vec<Lane>,
     /// Outstanding commands a lane may hold and still count down.
     limit: u32,
@@ -92,23 +104,6 @@ pub struct Issuer {
 }
 
 impl Issuer {
-    fn new(program: Program, lanes: usize, limit: u32, streams: bool) -> Self {
-        let mut core = Issuer {
-            program: ProgramTail::default(),
-            lanes: vec![Lane::default(); lanes],
-            limit,
-            period: 1,
-            rr: 0,
-            streams,
-            log: CompletionLog::new(),
-        };
-        for cmd in program {
-            core.push(cmd);
-        }
-        core.arm(0);
-        core
-    }
-
     /// The next command `lane` issues.
     ///
     /// # Panics
@@ -116,20 +111,17 @@ impl Issuer {
     /// Panics if the lane has no unissued command.
     #[inline]
     pub fn head(&self, lane: usize) -> &SocketCommand {
-        let idx = self.lanes[lane]
+        &self.lanes[lane]
             .queue
             .front()
-            .expect("lane holds a command");
-        self.program.get(*idx)
+            .expect("lane holds a command")
+            .1
     }
 
     /// Commands of `lane` awaiting a response, oldest first.
     #[inline]
     pub fn outstanding(&self, lane: usize) -> impl ExactSizeIterator<Item = &SocketCommand> {
-        self.lanes[lane]
-            .outstanding
-            .iter()
-            .map(|&(idx, _)| self.program.get(idx))
+        self.lanes[lane].outstanding.iter().map(|(_, _, cmd)| cmd)
     }
 
     /// Retires the `nth`-oldest outstanding command of `lane` with the
@@ -148,11 +140,11 @@ impl Issuer {
         data: Vec<u8>,
         cycle: u64,
     ) -> &CompletionRecord {
-        let (idx, issued_at) = self.lanes[lane]
+        let (idx, issued_at, cmd) = self.lanes[lane]
             .outstanding
             .remove(nth)
             .expect("response with nothing outstanding");
-        self.record(idx, issued_at, status, data, cycle)
+        self.record(idx, issued_at, &cmd, status, data, cycle)
     }
 
     #[inline]
@@ -160,11 +152,11 @@ impl Issuer {
         &mut self,
         idx: usize,
         issued_at: u64,
+        cmd: &SocketCommand,
         status: RespStatus,
         data: Vec<u8>,
         cycle: u64,
     ) -> &CompletionRecord {
-        let cmd = self.program.get(idx);
         self.log.push(CompletionRecord {
             index: idx,
             opcode: cmd.opcode,
@@ -186,15 +178,34 @@ impl Issuer {
         self.log.records().last().expect("just pushed")
     }
 
-    /// Queues `cmd` on its lane: its stream's on threaded sockets.
-    fn push(&mut self, cmd: SocketCommand) {
-        let lane = if self.lanes.len() == 1 {
-            0
-        } else {
-            cmd.stream.raw() as usize
-        };
-        self.lanes[lane].queue.push_back(self.program.len());
-        self.program.push(cmd);
+    /// Pulls from the source until `lane` holds a command or the source
+    /// ends, queueing each pulled command on its lane: its stream's on
+    /// threaded sockets. A lane the source does not feed is left empty.
+    fn fill<S: Socket>(&mut self, lane: usize, socket: &S) {
+        let threaded = self.lanes.len() > 1;
+        while self.lanes[lane].queue.is_empty() {
+            let Some(source) = &mut self.source else {
+                return;
+            };
+            if threaded && !source.feeds(StreamId::new(lane as u16)) {
+                return;
+            }
+            let chunk = source.pull();
+            if chunk.is_empty() {
+                self.source = None;
+                return;
+            }
+            for cmd in chunk {
+                socket.validate(self.pulled, &cmd);
+                let to = if threaded {
+                    cmd.stream.raw() as usize
+                } else {
+                    0
+                };
+                self.lanes[to].queue.push_back((self.pulled, cmd));
+                self.pulled += 1;
+            }
+        }
     }
 
     /// Starts the countdown of every lane head that can count down but
@@ -204,11 +215,11 @@ impl Issuer {
     fn arm(&mut self, tick: u64) -> bool {
         let mut due = false;
         for lane in &mut self.lanes {
-            let Some(&idx) = lane.queue.front() else {
+            let Some((_, head)) = lane.queue.front() else {
                 continue;
             };
             if lane.issue_at.is_none() && (lane.outstanding.len() as u32) < self.limit {
-                let delay = self.program.get(idx).delay_before as u64;
+                let delay = head.delay_before as u64;
                 lane.issue_at = Some(tick + delay * self.period);
             }
             due |= lane.issue_at.is_some_and(|at| at <= tick);
@@ -244,13 +255,27 @@ impl<S: Socket> Master<S> {
     ///
     /// Panics if `socket` rejects a command of `program`.
     pub fn with_socket(program: Program, socket: S, lanes: usize, limit: u32) -> Self {
-        for (i, cmd) in program.iter().enumerate() {
-            socket.validate(i, cmd);
+        Self::from_source(Box::new(program), socket, lanes, limit)
+    }
+
+    /// A master pulling its commands from `source`; see
+    /// [`Master::load_program`].
+    fn from_source(source: Box<dyn CommandSource>, socket: S, lanes: usize, limit: u32) -> Self {
+        let mut core = Issuer {
+            source: Some(source),
+            pulled: 0,
+            lanes: vec![Lane::default(); lanes],
+            limit,
+            period: 1,
+            rr: 0,
+            streams: S::STREAMS,
+            log: CompletionLog::new(),
+        };
+        for lane in 0..lanes {
+            core.fill(lane, &socket);
         }
-        Master {
-            core: Issuer::new(program, lanes, limit, S::STREAMS),
-            socket,
-        }
+        core.arm(0);
+        Master { core, socket }
     }
 
     /// The protocol half.
@@ -276,63 +301,31 @@ impl<S: Socket> Master<S> {
         self.core.arm(0);
     }
 
-    /// Replaces the program of a master that has not started executing,
-    /// keeping its socket parameters and clock. Equivalent to
-    /// constructing the master with `program` in the first place —
-    /// warm-state forking relies on that equivalence.
+    /// Replaces the program of a master that has not started executing
+    /// with the commands `program` streams, keeping the socket
+    /// parameters and clock. Equivalent to constructing the master with
+    /// everything `program` yields in the first place: warm-state
+    /// forking and streamed workloads rely on that equivalence.
     ///
     /// # Panics
     ///
     /// Panics if the master already issued or completed a command, or
-    /// if the socket rejects a command of `program`.
-    pub fn load_program(&mut self, program: Program) {
+    /// if the socket rejects a pulled command.
+    pub fn load_program(&mut self, program: Box<dyn CommandSource>) {
         self.core.assert_not_started("programs can only be loaded");
         let (lanes, limit, period) = (self.core.lanes.len(), self.core.limit, self.core.period);
-        *self = Master::with_socket(program, self.socket.clone(), lanes, limit);
+        *self = Master::from_source(program, self.socket.clone(), lanes, limit);
         self.set_clock_period(period);
-    }
-
-    /// Appends commands to the end of the program, mid-run. As long as
-    /// every lane a new command joins still has unissued commands (or
-    /// there is nothing more to append), the append instant is
-    /// unobservable: the run is bit-identical to constructing the master
-    /// with the full program up front. Feeding layers rely on that to
-    /// stream unbounded workloads through a bounded window; the
-    /// fully-retired prefix is reclaimed on each call. `now` is the
-    /// current base cycle: a drained lane starts counting down its new
-    /// head on its next tick.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the socket rejects a command.
-    pub fn append_commands(&mut self, tail: &[SocketCommand], now: u64) {
-        for cmd in tail {
-            self.socket.validate(self.core.program.len(), cmd);
-            self.core.push(cmd.clone());
-        }
-        self.core.arm(now.next_multiple_of(self.core.period));
-        let live = self
-            .core
-            .lanes
-            .iter()
-            .flat_map(|l| {
-                l.queue
-                    .front()
-                    .into_iter()
-                    .chain(l.outstanding.front().map(|(i, _)| i))
-            })
-            .copied()
-            .min()
-            .unwrap_or(self.core.program.len());
-        self.core.program.compact_to(live);
     }
 
     /// Returns `true` when every command has completed.
     pub fn done(&self) -> bool {
-        self.core
-            .lanes
-            .iter()
-            .all(|l| l.queue.is_empty() && l.outstanding.is_empty())
+        self.core.source.is_none()
+            && self
+                .core
+                .lanes
+                .iter()
+                .all(|l| l.queue.is_empty() && l.outstanding.is_empty())
     }
 
     /// The completion log.
@@ -378,26 +371,26 @@ impl<S: Socket> Master<S> {
             }
             let lane = wrap(k);
             let l = &core.lanes[lane];
-            let idx = match (l.issue_at, l.queue.front()) {
-                (Some(at), Some(&idx)) if at <= cycle => idx,
+            let cmd = match (l.issue_at, l.queue.front()) {
+                (Some(at), Some((_, cmd))) if at <= cycle => cmd,
                 _ => continue,
             };
             if self.socket.blocked(core, lane) {
                 continue;
             }
-            let cmd = core.program.get(idx);
             let offer = self.socket.offer(lane, cmd, port);
             if offer == Offer::Refused {
                 continue;
             }
             let l = &mut core.lanes[lane];
-            l.queue.pop_front();
+            let (idx, cmd) = l.queue.pop_front().expect("offered the head");
             l.issue_at = None;
             if offer == Offer::Posted {
-                core.record(idx, cycle, RespStatus::Okay, Vec::new(), cycle);
+                core.record(idx, cycle, &cmd, RespStatus::Okay, Vec::new(), cycle);
             } else {
-                l.outstanding.push_back((idx, cycle));
+                l.outstanding.push_back((idx, cycle, cmd));
             }
+            core.fill(lane, &self.socket);
             core.rr = wrap(k + 1);
             core.arm(cycle + core.period);
             reached = k + 1;
@@ -426,8 +419,8 @@ where
             f,
             "{}-master pc={}/{} out={out} ({} done",
             self.socket,
-            core.program.len() - unissued,
-            core.program.len(),
+            core.pulled - unissued,
+            core.pulled,
             core.log.len()
         )?;
         if core.lanes.len() > 1 {

@@ -5,8 +5,8 @@
 //!
 //! - (a) ticked densely, or only on ticks where the port holds traffic
 //!   or `wake_at` has come due (how a front end jumps dead time);
-//! - (b) given the whole program up front, or fed it in chunks through
-//!   `append_commands` while every lane still has unissued commands;
+//! - (b) given the whole program up front, or pulling it from a source
+//!   that streams it in chunks;
 //! - (c) constructed with the program, or given it by `load_program`.
 
 use noc_protocols::ahb::{AhbMaster, AhbPort, AhbSlave};
@@ -14,19 +14,22 @@ use noc_protocols::axi::{AxiMaster, AxiPort, AxiSlave};
 use noc_protocols::ocp::{OcpMaster, OcpPort, OcpSlave};
 use noc_protocols::strm::{StrmMaster, StrmPort, StrmSlave};
 use noc_protocols::vci::{VciFlavor, VciMaster, VciPort, VciSlave};
-use noc_protocols::{CompletionLog, CompletionRecord, MemoryModel, Program, SocketCommand};
+use noc_protocols::{
+    CommandSource, CompletionLog, CompletionRecord, MemoryModel, Program, SocketCommand,
+};
 use noc_transaction::{BurstKind, Opcode, StreamId};
+use std::collections::VecDeque;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 
 /// A master wired to its slave through one port.
 trait Rig {
     fn set_clock_period(&mut self, period: u64);
-    fn load_program(&mut self, program: Program);
-    fn append_commands(&mut self, tail: &[SocketCommand], now: u64);
+    fn load_program(&mut self, program: Box<dyn CommandSource>);
     fn wake_at(&self) -> Option<u64>;
     fn done(&self) -> bool;
     fn log(&self) -> &CompletionLog;
-    /// Ticks the master; returns the lane of the request it issued.
-    fn tick_master(&mut self, cycle: u64) -> Option<usize>;
+    fn tick_master(&mut self, cycle: u64);
     fn tick_slave(&mut self, cycle: u64);
     /// Any channel holds traffic, so a front end would tick densely.
     fn port_busy(&self) -> bool;
@@ -34,7 +37,7 @@ trait Rig {
 
 macro_rules! rig {
     ($name:ident, $master:ty, $slave:ty, $port:ty, req: [$($req:ident),+],
-     resp: [$($resp:ident),+], lane: |$p:ident| $lane:expr) => {
+     resp: [$($resp:ident),+]) => {
         struct $name {
             master: $master,
             slave: $slave,
@@ -45,11 +48,8 @@ macro_rules! rig {
             fn set_clock_period(&mut self, period: u64) {
                 self.master.set_clock_period(period);
             }
-            fn load_program(&mut self, program: Program) {
+            fn load_program(&mut self, program: Box<dyn CommandSource>) {
                 self.master.load_program(program);
-            }
-            fn append_commands(&mut self, tail: &[SocketCommand], now: u64) {
-                self.master.append_commands(tail, now);
             }
             fn wake_at(&self) -> Option<u64> {
                 self.master.wake_at()
@@ -60,12 +60,8 @@ macro_rules! rig {
             fn log(&self) -> &CompletionLog {
                 self.master.log()
             }
-            fn tick_master(&mut self, cycle: u64) -> Option<usize> {
-                let before = 0 $(+ self.port.$req.accepted())+;
+            fn tick_master(&mut self, cycle: u64) {
                 self.master.tick(cycle, &mut self.port);
-                let after = 0 $(+ self.port.$req.accepted())+;
-                let $p = &self.port;
-                (after > before).then(|| $lane)
             }
             fn tick_slave(&mut self, cycle: u64) {
                 self.slave.tick(cycle, &mut self.port);
@@ -77,13 +73,11 @@ macro_rules! rig {
     };
 }
 
-rig!(AhbRig, AhbMaster, AhbSlave, AhbPort, req: [req], resp: [resp], lane: |_p| 0);
-rig!(AxiRig, AxiMaster, AxiSlave, AxiPort, req: [ar, aw], resp: [r, b], lane: |_p| 0);
-rig!(StrmRig, StrmMaster, StrmSlave, StrmPort, req: [tx, rreq], resp: [rdata], lane: |_p| 0);
-rig!(OcpRig, OcpMaster, OcpSlave, OcpPort, req: [req], resp: [resp],
-     lane: |p| p.req.peek().map_or(0, |r| r.thread as usize));
-rig!(VciRig, VciMaster, VciSlave, VciPort, req: [req], resp: [resp],
-     lane: |p| p.req.peek().map_or(0, |r| r.thread as usize));
+rig!(AhbRig, AhbMaster, AhbSlave, AhbPort, req: [req], resp: [resp]);
+rig!(AxiRig, AxiMaster, AxiSlave, AxiPort, req: [ar, aw], resp: [r, b]);
+rig!(StrmRig, StrmMaster, StrmSlave, StrmPort, req: [tx, rreq], resp: [rdata]);
+rig!(OcpRig, OcpMaster, OcpSlave, OcpPort, req: [req], resp: [resp]);
+rig!(VciRig, VciMaster, VciSlave, VciPort, req: [req], resp: [resp]);
 
 /// One protocol under test.
 struct Case {
@@ -238,47 +232,15 @@ type Outcome = (Vec<CompletionRecord>, u64);
 /// slave sits out every fourth tick, so requests back up in the port
 /// and threaded masters see a busy port. The master ticks on every tick
 /// when `dense`, otherwise only where the port holds traffic or
-/// `wake_at` is due.
-/// `feed` (the tail left to append, in chunks) is appended before any
-/// tick on which some lane is down to its last unissued command.
-/// Returns the outcome and how many master ticks ran.
-fn run(
-    case: &Case,
-    rig: &mut dyn Rig,
-    period: u64,
-    dense: bool,
-    mut feed: Vec<Program>,
-    fed: &[SocketCommand],
-) -> (Outcome, u64) {
-    let lane_of = |cmd: &SocketCommand| {
-        if case.lanes > 1 {
-            cmd.stream.raw() as usize
-        } else {
-            0
-        }
-    };
-    let mut unissued = vec![0usize; case.lanes];
-    for cmd in fed {
-        unissued[lane_of(cmd)] += 1;
-    }
-    feed.reverse();
+/// `wake_at` is due. Returns the outcome and how many master ticks ran.
+fn run(case: &Case, rig: &mut dyn Rig, period: u64, dense: bool) -> (Outcome, u64) {
     let mut master_ticks = 0;
     let mut cycle = 0;
-    while !(rig.done() && feed.is_empty()) {
+    while !rig.done() {
         assert!(cycle < BUDGET, "{}: no drain by cycle {BUDGET}", case.name);
-        if unissued.iter().any(|&n| n <= 1) {
-            if let Some(chunk) = feed.pop() {
-                for cmd in &chunk {
-                    unissued[lane_of(cmd)] += 1;
-                }
-                rig.append_commands(&chunk, cycle);
-            }
-        }
         if dense || rig.port_busy() || rig.wake_at().is_some_and(|t| t <= cycle) {
             master_ticks += 1;
-            if let Some(lane) = rig.tick_master(cycle) {
-                unissued[lane] -= 1;
-            }
+            rig.tick_master(cycle);
         }
         if (cycle / period) % 4 != 3 {
             rig.tick_slave(cycle);
@@ -288,6 +250,43 @@ fn run(
     ((rig.log().records().to_vec(), cycle), master_ticks)
 }
 
+/// A source streaming a program `chunk` commands per pull, counting its
+/// pulls. It feeds only the streams below `streams`.
+#[derive(Debug, Clone)]
+struct Counted {
+    rest: VecDeque<SocketCommand>,
+    chunk: usize,
+    streams: u16,
+    pulls: Arc<AtomicUsize>,
+}
+
+impl Counted {
+    fn new(program: Program, chunk: usize, streams: u16) -> (Self, Arc<AtomicUsize>) {
+        let pulls = Arc::new(AtomicUsize::new(0));
+        let source = Counted {
+            rest: program.into(),
+            chunk,
+            streams,
+            pulls: Arc::clone(&pulls),
+        };
+        (source, pulls)
+    }
+}
+
+impl CommandSource for Counted {
+    fn pull(&mut self) -> Vec<SocketCommand> {
+        self.pulls.fetch_add(1, Ordering::Relaxed);
+        let n = self.chunk.min(self.rest.len());
+        self.rest.drain(..n).collect()
+    }
+    fn feeds(&self, stream: StreamId) -> bool {
+        stream.raw() < self.streams
+    }
+    fn clone_box(&self) -> Box<dyn CommandSource> {
+        Box::new(self.clone())
+    }
+}
+
 fn built(case: &Case, program: Program, period: u64) -> Box<dyn Rig> {
     let mut rig = (case.build)(program);
     rig.set_clock_period(period);
@@ -295,9 +294,8 @@ fn built(case: &Case, program: Program, period: u64) -> Box<dyn Rig> {
 }
 
 fn dense_reference(case: &Case, period: u64) -> Outcome {
-    let program = program(case);
-    let mut rig = built(case, program.clone(), period);
-    let (outcome, _) = run(case, rig.as_mut(), period, true, Vec::new(), &program);
+    let mut rig = built(case, program(case), period);
+    let (outcome, _) = run(case, rig.as_mut(), period, true);
     assert_eq!(
         outcome.0.len(),
         COMMANDS,
@@ -312,11 +310,10 @@ fn jumping_to_wake_at_matches_dense_ticking() {
     for case in &CASES {
         for period in PERIODS {
             let label = format!("{} @ period {period}", case.name);
-            let program = program(case);
-            let mut dense = built(case, program.clone(), period);
-            let mut jumped = built(case, program.clone(), period);
-            let (d, dense_ticks) = run(case, dense.as_mut(), period, true, Vec::new(), &program);
-            let (j, jumped_ticks) = run(case, jumped.as_mut(), period, false, Vec::new(), &program);
+            let mut dense = built(case, program(case), period);
+            let mut jumped = built(case, program(case), period);
+            let (d, dense_ticks) = run(case, dense.as_mut(), period, true);
+            let (j, jumped_ticks) = run(case, jumped.as_mut(), period, false);
             assert_eq!(d, j, "{label}: jumping changed the records");
             assert!(
                 jumped_ticks < dense_ticks,
@@ -327,24 +324,66 @@ fn jumping_to_wake_at_matches_dense_ticking() {
 }
 
 #[test]
-fn appending_in_chunks_matches_the_full_program() {
+fn pulling_in_chunks_matches_the_full_program() {
     for case in &CASES {
         for period in PERIODS {
-            for chunk in [2 * case.lanes, 5, 16] {
+            for chunk in [1, 5, 16] {
                 let label = format!("{} @ period {period}, chunks of {chunk}", case.name);
-                let program = program(case);
-                let head = program[..chunk].to_vec();
-                let tail: Vec<Program> =
-                    program[chunk..].chunks(chunk).map(<[_]>::to_vec).collect();
-                let mut rig = built(case, head.clone(), period);
-                let (fed, _) = run(case, rig.as_mut(), period, true, tail, &head);
+                let (source, pulls) = Counted::new(program(case), chunk, u16::MAX);
+                let mut rig = built(case, Vec::new(), period);
+                rig.load_program(Box::new(source));
+                // Loading pulls just enough for every lane's first
+                // command: streams round-robin over the lanes.
                 assert_eq!(
-                    fed,
-                    dense_reference(case, period),
-                    "{label}: appending was observable"
+                    pulls.load(Ordering::Relaxed),
+                    case.lanes.div_ceil(chunk),
+                    "{label}: loading pulled ahead of need"
                 );
+                let (outcome, _) = run(case, rig.as_mut(), period, true);
+                assert_eq!(
+                    outcome,
+                    dense_reference(case, period),
+                    "{label}: pulling was observable"
+                );
+                // Every chunk, then the one empty pull that ends it.
+                assert_eq!(pulls.load(Ordering::Relaxed), COMMANDS.div_ceil(chunk) + 1);
             }
         }
+    }
+}
+
+#[test]
+fn a_lane_the_source_never_feeds_does_not_drain_it() {
+    for period in PERIODS {
+        let program: Program = (0..COMMANDS as u64)
+            .map(|i| SocketCommand::read(i * 0x40, 4).with_delay(i as u32 % 3))
+            .collect();
+        let (source, pulls) = Counted::new(program.clone(), 1, 1);
+        let mut master = OcpMaster::new(Vec::new(), 2, 2);
+        master.set_clock_period(period);
+        master.load_program(Box::new(source));
+        assert_eq!(
+            pulls.load(Ordering::Relaxed),
+            1,
+            "thread 1 is never fed, so loading pulls for thread 0 alone"
+        );
+        let mut streamed = OcpRig {
+            master,
+            slave: OcpSlave::new(MemoryModel::new(2), 2),
+            port: OcpPort::new(),
+        };
+        let mut up_front = OcpRig {
+            master: OcpMaster::new(program, 2, 2),
+            slave: OcpSlave::new(MemoryModel::new(2), 2),
+            port: OcpPort::new(),
+        };
+        up_front.set_clock_period(period);
+        let case = &CASES[2];
+        assert_eq!(
+            run(case, &mut streamed, period, true),
+            run(case, &mut up_front, period, true),
+            "period {period}: a one-stream source differs from its program"
+        );
     }
 }
 
@@ -352,16 +391,15 @@ fn appending_in_chunks_matches_the_full_program() {
 fn load_program_matches_construction() {
     for case in &CASES {
         for period in PERIODS {
-            let program = program(case);
             let mut loaded = built(case, Vec::new(), period);
-            loaded.load_program(program.clone());
+            loaded.load_program(Box::new(program(case)));
             assert_eq!(
                 loaded.wake_at(),
-                built(case, program.clone(), period).wake_at(),
+                built(case, program(case), period).wake_at(),
                 "{} @ period {period}: first deadline differs",
                 case.name
             );
-            let (outcome, _) = run(case, loaded.as_mut(), period, true, Vec::new(), &program);
+            let (outcome, _) = run(case, loaded.as_mut(), period, true);
             assert_eq!(
                 outcome,
                 dense_reference(case, period),

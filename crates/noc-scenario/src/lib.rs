@@ -52,8 +52,7 @@ pub mod text;
 
 pub use noc_system::{EpochOccupancy, Partition};
 pub use program::{
-    BurstySpec, Discipline, FeedSource, ProgramSpec, StochasticShape, TraceCursor, TraceSpec,
-    Workload, ZipfSpec,
+    BurstySpec, Discipline, ProgramSpec, StochasticShape, TraceCursor, TraceSpec, ZipfSpec,
 };
 pub use sim::{BaselineSim, BridgedSim, BusSim, NocSim, ScenarioReport, Simulation, StepMode};
 pub use spec::{

@@ -5,34 +5,29 @@
 //! *generated* workload — seeded on/off bursty arrivals
 //! ([`BurstySpec`]), Zipf-popularity target selection ([`ZipfSpec`]) or
 //! a timestamped trace replayed from a file ([`TraceSpec`]). Generated
-//! workloads are **streamed**: the scenario layer feeds commands to the
-//! master in bounded windows while the simulation runs, so a
-//! million-command trace never lives in memory, and the command stream
-//! is a pure function of the seed (or file) — the same spec produces
-//! record-for-record identical completion logs on every backend and in
-//! both step modes.
+//! workloads are **streamed**: each is a [`CommandSource`] the master
+//! pulls from whenever one of its lanes runs dry, a chunk at a time, so
+//! a million-command trace never lives in memory. The command stream is
+//! a pure function of the seed (or file), and the master's pull rule
+//! makes streaming unobservable: the same spec produces
+//! record-for-record identical completion logs on every backend, in
+//! every step mode, and identical to its materialised explicit program.
 //!
 //! All randomness comes from the kernel's [`SplitMix64`]; no generator
-//! ever reads simulation time, which is what makes the feed timing
-//! unobservable and the dense ≡ horizon equivalence hold.
+//! ever reads simulation time.
 
 use noc_kernel::SplitMix64;
-use noc_protocols::{Program, SocketCommand};
+use noc_protocols::{CommandSource, Program, SocketCommand};
 use noc_transaction::{BurstKind, Opcode, StreamId};
+use std::collections::BTreeSet;
 use std::fmt;
 use std::fs::File;
 use std::io::{BufRead, BufReader, Seek, SeekFrom};
 
-/// The release-sum window (in base cycles) the feeder keeps every
-/// master's command stream topped up by: before the simulation executes
-/// cycle `now`, each active stream holds appended commands whose
-/// per-stream release sum `Σ (1 + delay_before)` reaches at least
-/// `now + FEED_WINDOW`. A stream's queue cannot drain before its
-/// release sum elapses (each command occupies the queue front for at
-/// least `1 + delay_before` cycles), so no master ever observes its
-/// program running dry mid-stream — which is what makes the append
-/// timing, and hence the step mode, unobservable.
-pub const FEED_WINDOW: u64 = 1024;
+/// Commands a generator or trace cursor hands the master per pull:
+/// enough to amortise a trace file's reopen and seek, few enough that
+/// the read-ahead a master holds stays small.
+const PULL_CHUNK: usize = 64;
 
 /// How a generator spaces consecutive commands.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -226,16 +221,6 @@ impl From<TraceSpec> for ProgramSpec {
 }
 
 impl ProgramSpec {
-    /// Short grammar label of the kind.
-    pub fn kind_label(&self) -> &'static str {
-        match self {
-            ProgramSpec::Explicit(_) => "explicit",
-            ProgramSpec::Bursty(_) => "bursty",
-            ProgramSpec::Zipf(_) => "zipf",
-            ProgramSpec::Trace(_) => "trace",
-        }
-    }
-
     /// The explicit command list, when this is an [`ProgramSpec::Explicit`]
     /// program.
     pub fn explicit(&self) -> Option<&Program> {
@@ -254,114 +239,12 @@ impl ProgramSpec {
         }
     }
 
-    /// Whether this kind streams commands while the simulation runs
-    /// (everything except [`ProgramSpec::Explicit`]).
-    pub fn is_streamed(&self) -> bool {
-        !matches!(self, ProgramSpec::Explicit(_))
-    }
-
     /// The command-shape parameters, for the stochastic kinds.
     pub fn shape(&self) -> Option<&StochasticShape> {
         match self {
             ProgramSpec::Bursty(b) => Some(&b.shape),
             ProgramSpec::Zipf(z) => Some(&z.shape),
             _ => None,
-        }
-    }
-
-    /// The program the master is *constructed* with: the full list for
-    /// explicit kinds, empty for streamed kinds (their commands arrive
-    /// through the feeder).
-    pub fn head_program(&self) -> Program {
-        match self {
-            ProgramSpec::Explicit(p) => p.clone(),
-            _ => Vec::new(),
-        }
-    }
-
-    /// Compiles the spec into the runnable workload, resolving target
-    /// regions from the scenario's memory declarations.
-    pub fn workload(&self, regions: &[(u64, u64)]) -> Workload {
-        match self {
-            ProgramSpec::Explicit(p) => Workload::Fixed(p.clone()),
-            ProgramSpec::Bursty(b) => {
-                Workload::Streamed(FeedSource::Bursty(BurstyGen::new(*b, regions.to_vec())))
-            }
-            ProgramSpec::Zipf(z) => {
-                Workload::Streamed(FeedSource::Zipf(ZipfGen::new(*z, regions.to_vec())))
-            }
-            ProgramSpec::Trace(t) => {
-                Workload::Streamed(FeedSource::Trace(TraceCursor::new(&t.path)))
-            }
-        }
-    }
-}
-
-/// One initiator's runnable workload: a fixed program loaded up front,
-/// or a feed source streamed into the master while the simulation runs.
-#[derive(Debug, Clone)]
-pub enum Workload {
-    /// The whole program, loaded before the first step.
-    Fixed(Program),
-    /// A generator/cursor the feeder pulls bounded windows from.
-    Streamed(FeedSource),
-}
-
-impl Workload {
-    /// The program the master starts with (empty for streamed kinds).
-    pub fn head_program(&self) -> Program {
-        match self {
-            Workload::Fixed(p) => p.clone(),
-            Workload::Streamed(_) => Vec::new(),
-        }
-    }
-}
-
-/// A streamed command source. Cloning snapshots the exact stream
-/// position (generator state or file offset), so whole-simulation
-/// checkpoints resume the feed bit-identically.
-#[derive(Debug, Clone)]
-pub enum FeedSource {
-    /// On/off bursty arrivals.
-    Bursty(BurstyGen),
-    /// Zipf target selection.
-    Zipf(ZipfGen),
-    /// Trace replay.
-    Trace(TraceCursor),
-}
-
-impl FeedSource {
-    /// Pulls the next chunk of commands, stopping once the chunk's
-    /// release sum `Σ (1 + delay_before)` reaches `release_budget` (or
-    /// the source is exhausted). Returns an empty chunk iff exhausted.
-    pub fn pull(&mut self, release_budget: u64) -> Vec<SocketCommand> {
-        match self {
-            FeedSource::Bursty(g) => g.pull(release_budget),
-            FeedSource::Zipf(g) => g.pull(release_budget),
-            FeedSource::Trace(c) => c.pull(release_budget),
-        }
-    }
-
-    /// Release budget the cycle-0 prime pull must cover so that every
-    /// stream's *first* command lands in the primed window. A command
-    /// appended onto an empty per-stream queue starts its delay
-    /// countdown at the append cycle, so such appends are observable —
-    /// except at cycle 0, where both step modes prime identically.
-    /// Stochastic kinds round-robin streams, so `streams` commands of
-    /// worst-case release each suffice; traces prime with the plain
-    /// window and [`TraceCursor::validate_file`] rejects files whose
-    /// streams first appear beyond it.
-    pub fn prime_release(&self, window: u64) -> u64 {
-        let coverage = |streams: u16, worst_delay: u64| streams as u64 * (1 + worst_delay);
-        match self {
-            FeedSource::Bursty(g) => window.max(coverage(
-                g.spec.shape.streams,
-                2 * g.spec.shape.gap as u64 + 2 * g.spec.idle_gap as u64,
-            )),
-            FeedSource::Zipf(g) => {
-                window.max(coverage(g.spec.shape.streams, 2 * g.spec.shape.gap as u64))
-            }
-            FeedSource::Trace(_) => window,
         }
     }
 }
@@ -464,9 +347,17 @@ impl BurstyGen {
         self.emitted += 1;
         Some(cmd)
     }
+}
 
-    fn pull(&mut self, release_budget: u64) -> Vec<SocketCommand> {
-        pull_from(release_budget, || self.next_command())
+impl CommandSource for BurstyGen {
+    fn pull(&mut self) -> Vec<SocketCommand> {
+        (0..PULL_CHUNK).map_while(|_| self.next_command()).collect()
+    }
+    fn feeds(&self, stream: StreamId) -> bool {
+        stream.raw() < self.spec.shape.streams.max(1)
+    }
+    fn clone_box(&self) -> Box<dyn CommandSource> {
+        Box::new(self.clone())
     }
 }
 
@@ -526,24 +417,18 @@ impl ZipfGen {
         self.emitted += 1;
         Some(cmd)
     }
-
-    fn pull(&mut self, release_budget: u64) -> Vec<SocketCommand> {
-        pull_from(release_budget, || self.next_command())
-    }
 }
 
-fn pull_from(
-    release_budget: u64,
-    mut next: impl FnMut() -> Option<SocketCommand>,
-) -> Vec<SocketCommand> {
-    let mut out = Vec::new();
-    let mut released = 0u64;
-    while released < release_budget {
-        let Some(cmd) = next() else { break };
-        released += 1 + cmd.delay_before as u64;
-        out.push(cmd);
+impl CommandSource for ZipfGen {
+    fn pull(&mut self) -> Vec<SocketCommand> {
+        (0..PULL_CHUNK).map_while(|_| self.next_command()).collect()
     }
-    out
+    fn feeds(&self, stream: StreamId) -> bool {
+        stream.raw() < self.spec.shape.streams.max(1)
+    }
+    fn clone_box(&self) -> Box<dyn CommandSource> {
+        Box::new(self.clone())
+    }
 }
 
 /// One parsed trace record.
@@ -643,8 +528,8 @@ fn record_to_command(rec: &TraceRecord, prev_ts: u64, line_no: usize) -> SocketC
 
 /// A streaming cursor over a trace file. Holds a path and a byte
 /// offset, not an open handle — cloning (= checkpointing) is trivial
-/// and each [`FeedSource::pull`] reopens, seeks and reads one bounded
-/// chunk, so the full trace is never resident.
+/// and each pull reopens, seeks and reads one bounded chunk, so the
+/// full trace is never resident.
 ///
 /// Trace timestamps are issue-*intent* cycles: consecutive deltas
 /// become each command's `delay_before`, so the replay preserves the
@@ -656,38 +541,65 @@ pub struct TraceCursor {
     offset: u64,
     line_no: usize,
     prev_ts: u64,
-    done: bool,
+    /// Every stream the file carries, learnt by the opening scan.
+    streams: Vec<u16>,
 }
 
 impl TraceCursor {
-    /// Opens a cursor at the head of `path` (lazily — no I/O until the
-    /// first pull).
-    pub fn new(path: &str) -> Self {
-        TraceCursor {
+    /// Validates the whole file once and opens a cursor at its head:
+    /// every record parses, timestamps are non-decreasing with deltas
+    /// fitting `delay_before`, and every record passes `check` (the
+    /// scenario layer's containment and shape rules). The scan also
+    /// learns the file's stream set, so a threaded master never pulls
+    /// on behalf of a thread the trace does not carry. Returns
+    /// `(line, reason)` on the first failure.
+    pub fn open(
+        path: &str,
+        mut check: impl FnMut(&TraceRecord) -> Result<(), String>,
+    ) -> Result<TraceCursor, (usize, String)> {
+        let file = File::open(path).map_err(|e| (0, e.to_string()))?;
+        let mut prev_ts = 0u64;
+        let mut streams = BTreeSet::new();
+        for (i, line) in BufReader::new(file).lines().enumerate() {
+            let no = i + 1;
+            let line = line.map_err(|e| (no, e.to_string()))?;
+            let Some(rec) = parse_trace_line(&line).map_err(|e| (no, e))? else {
+                continue;
+            };
+            if rec.cycle < prev_ts {
+                return Err((no, "timestamps must be non-decreasing".into()));
+            }
+            if rec.cycle - prev_ts > u32::MAX as u64 {
+                return Err((no, format!("gap {} exceeds u32::MAX", rec.cycle - prev_ts)));
+            }
+            check(&rec).map_err(|e| (no, e))?;
+            streams.insert(rec.stream);
+            prev_ts = rec.cycle;
+        }
+        Ok(TraceCursor {
             path: path.to_owned(),
             offset: 0,
             line_no: 0,
             prev_ts: 0,
-            done: false,
-        }
+            streams: streams.into_iter().collect(),
+        })
     }
 
     /// The trace file path.
     pub fn path(&self) -> &str {
         &self.path
     }
+}
 
-    /// Pulls the next chunk (see [`FeedSource::pull`]).
+impl CommandSource for TraceCursor {
+    /// Reads the next chunk of records.
     ///
     /// # Panics
     ///
     /// Panics on I/O errors or malformed records: the file was fully
-    /// validated at build time, so a failure here means it changed
-    /// mid-run.
-    fn pull(&mut self, release_budget: u64) -> Vec<SocketCommand> {
-        if self.done {
-            return Vec::new();
-        }
+    /// validated when the cursor opened, so a failure here means it
+    /// changed mid-run.
+    fn pull(&mut self) -> Vec<SocketCommand> {
         let file = File::open(&self.path)
             .unwrap_or_else(|e| panic!("trace {}: {e} (validated at build time)", self.path));
         let mut reader = BufReader::new(file);
@@ -695,15 +607,13 @@ impl TraceCursor {
             .seek(SeekFrom::Start(self.offset))
             .unwrap_or_else(|e| panic!("trace {}: seek: {e}", self.path));
         let mut out = Vec::new();
-        let mut released = 0u64;
         let mut line = String::new();
-        while released < release_budget {
+        while out.len() < PULL_CHUNK {
             line.clear();
             let n = reader
                 .read_line(&mut line)
                 .unwrap_or_else(|e| panic!("trace {}: read: {e}", self.path));
             if n == 0 {
-                self.done = true;
                 break;
             }
             self.offset += n as u64;
@@ -717,58 +627,16 @@ impl TraceCursor {
                 self.path,
                 self.line_no
             );
-            let cmd = record_to_command(&rec, self.prev_ts, self.line_no);
+            out.push(record_to_command(&rec, self.prev_ts, self.line_no));
             self.prev_ts = rec.cycle;
-            released += 1 + cmd.delay_before as u64;
-            out.push(cmd);
         }
         out
     }
-
-    /// Validates the whole file once: every record parses, timestamps
-    /// are non-decreasing with deltas fitting `delay_before`, every
-    /// stream first appears within the feeder's primed window (a stream
-    /// surfacing later would start its delay countdown at an
-    /// append-time-dependent cycle, breaking dense ≡ horizon), and every
-    /// record passes `check` (the scenario layer's containment and
-    /// shape rules). Returns `(line, reason)` on the first failure.
-    pub fn validate_file(
-        path: &str,
-        mut check: impl FnMut(&TraceRecord) -> Result<(), String>,
-    ) -> Result<usize, (usize, String)> {
-        let file = File::open(path).map_err(|e| (0, e.to_string()))?;
-        let mut prev_ts = 0u64;
-        let mut records = 0usize;
-        let mut release = 0u64;
-        let mut seen = std::collections::HashSet::new();
-        for (i, line) in BufReader::new(file).lines().enumerate() {
-            let no = i + 1;
-            let line = line.map_err(|e| (no, e.to_string()))?;
-            let Some(rec) = parse_trace_line(&line).map_err(|e| (no, e))? else {
-                continue;
-            };
-            if rec.cycle < prev_ts {
-                return Err((no, "timestamps must be non-decreasing".into()));
-            }
-            if rec.cycle - prev_ts > u32::MAX as u64 {
-                return Err((no, format!("gap {} exceeds u32::MAX", rec.cycle - prev_ts)));
-            }
-            release += 1 + (rec.cycle - prev_ts);
-            if seen.insert(rec.stream) && release > FEED_WINDOW {
-                return Err((
-                    no,
-                    format!(
-                        "stream {} first appears at release cycle {release}; every stream \
-                         must appear within the first {FEED_WINDOW} release cycles",
-                        rec.stream
-                    ),
-                ));
-            }
-            check(&rec).map_err(|e| (no, e))?;
-            prev_ts = rec.cycle;
-            records += 1;
-        }
-        Ok(records)
+    fn feeds(&self, stream: StreamId) -> bool {
+        self.streams.binary_search(&stream.raw()).is_ok()
+    }
+    fn clone_box(&self) -> Box<dyn CommandSource> {
+        Box::new(self.clone())
     }
 }
 
@@ -780,22 +648,27 @@ mod tests {
         vec![(0x0, 0x1000), (0x1000, 0x2000), (0x2000, 0x3000)]
     }
 
+    /// Everything `source` streams, pulled chunk by chunk.
+    fn drain(mut source: impl CommandSource) -> Vec<SocketCommand> {
+        let mut out = Vec::new();
+        loop {
+            let chunk = source.pull();
+            if chunk.is_empty() {
+                return out;
+            }
+            out.extend(chunk);
+        }
+    }
+
     #[test]
     fn bursty_stream_is_seed_deterministic_and_chunking_invariant() {
         let spec = BurstySpec::new(7, 100, 4, 50);
-        let mut a = BurstyGen::new(spec, regions());
-        let mut b = BurstyGen::new(spec, regions());
-        let whole = a.pull(u64::MAX);
+        let whole = drain(BurstyGen::new(spec, regions()));
         assert_eq!(whole.len(), 100);
-        let mut chunked = Vec::new();
-        loop {
-            let chunk = b.pull(17);
-            if chunk.is_empty() {
-                break;
-            }
-            chunked.extend(chunk);
-        }
-        assert_eq!(whole, chunked, "chunk boundaries must not affect content");
+        assert_eq!(whole, drain(BurstyGen::new(spec, regions())));
+        let mut one_by_one = BurstyGen::new(spec, regions());
+        let single: Vec<_> = std::iter::from_fn(|| one_by_one.next_command()).collect();
+        assert_eq!(whole, single, "chunk boundaries must not affect content");
         for cmd in &whole {
             assert!(regions().iter().any(|&(s, e)| {
                 cmd.addr >= s && cmd.addr + (cmd.beats * cmd.beat_bytes) as u64 <= e
@@ -806,7 +679,7 @@ mod tests {
     #[test]
     fn bursty_has_on_off_structure() {
         let spec = BurstySpec::new(11, 200, 4, 200);
-        let cmds = BurstyGen::new(spec, regions()).pull(u64::MAX);
+        let cmds = drain(BurstyGen::new(spec, regions()));
         let long_gaps = cmds.iter().filter(|c| c.delay_before > 50).count();
         assert!(long_gaps > 5, "expected inter-burst idle gaps");
         let short_gaps = cmds.iter().filter(|c| c.delay_before <= 4).count();
@@ -816,7 +689,7 @@ mod tests {
     #[test]
     fn zipf_concentrates_on_first_region() {
         let spec = ZipfSpec::new(3, 1000, 2000);
-        let cmds = ZipfGen::new(spec, regions()).pull(u64::MAX);
+        let cmds = drain(ZipfGen::new(spec, regions()));
         let hot = cmds.iter().filter(|c| c.addr < 0x1000).count();
         assert!(
             hot > 700,
@@ -829,7 +702,7 @@ mod tests {
     #[test]
     fn zipf_exponent_zero_is_uniform() {
         let spec = ZipfSpec::new(3, 3000, 0);
-        let cmds = ZipfGen::new(spec, regions()).pull(u64::MAX);
+        let cmds = drain(ZipfGen::new(spec, regions()));
         let hot = cmds.iter().filter(|c| c.addr < 0x1000).count();
         assert!(
             (800..1200).contains(&hot),
@@ -842,7 +715,7 @@ mod tests {
         let mut spec = BurstySpec::new(9, 50, 4, 0);
         spec.shape.gap = 1;
         spec.shape.discipline = Discipline::Closed;
-        let cmds = BurstyGen::new(spec, regions()).pull(u64::MAX);
+        let cmds = drain(BurstyGen::new(spec, regions()));
         assert!(cmds.iter().all(|c| c.delay_before >= 1));
     }
 

@@ -1,183 +1,13 @@
 //! The common simulation surface every backend realisation exposes.
 
-use crate::program::{FeedSource, Workload};
 use noc_baseline::{BridgedInterconnect, Interconnect, SharedBus};
-use noc_protocols::{CompletionLog, Program, SocketCommand};
+use noc_protocols::{CommandSource, CompletionLog};
 use noc_stats::Histogram;
 use noc_system::{
-    EpochOccupancy, FabricReport, MasterReport, Partition, RegionFeeder, ShardedSoc, Soc, SocReport,
+    EpochOccupancy, FabricReport, MasterReport, Partition, ShardedSoc, Soc, SocReport,
 };
 use noc_transaction::Fingerprint;
 use std::fmt;
-
-use crate::program::FEED_WINDOW;
-
-/// One streamed workload being fed to master `ordinal`.
-///
-/// `releases[stream]` is the running sum `Σ (1 + delay_before)` over
-/// every command appended so far *on that stream* — a lower bound, in
-/// base cycles from 0, on when the master can drain that stream's
-/// queue: each command occupies the queue front for at least
-/// `delay_before` countdown ticks plus one issue tick, front occupancy
-/// is sequential per stream, and a local tick spans at least one base
-/// cycle (clock divisors only stretch it). Accounting is per stream
-/// because multi-threaded sockets (OCP threads, AXI IDs, advanced-VCI
-/// threads) count down each thread's front delay *concurrently*, so a
-/// master consumes global release budget up to `streams` times faster
-/// than the global sum predicts; single-queue sockets are the
-/// one-stream special case. As long as every refill happens before the
-/// simulation executes cycle `min(releases)`, no master observes any
-/// stream of its program running dry, so *when* commands were appended
-/// is unobservable and dense ≡ horizon bit-identity extends to
-/// streamed workloads.
-#[derive(Debug, Clone)]
-struct Feeder {
-    ordinal: usize,
-    source: FeedSource,
-    releases: std::collections::HashMap<u16, u64>,
-    primed: bool,
-    exhausted: bool,
-}
-
-impl Feeder {
-    /// The earliest cycle any stream of this workload could drain — the
-    /// feeder's advance bound.
-    fn min_release(&self) -> u64 {
-        self.releases.values().copied().min().unwrap_or(0)
-    }
-
-    fn account(&mut self, chunk: &[SocketCommand]) {
-        for c in chunk {
-            *self.releases.entry(c.stream.raw()).or_insert(0) += 1 + c.delay_before as u64;
-        }
-    }
-}
-
-/// The streamed-workload feeders of one simulation. Plain cloneable
-/// state: a snapshot captures every generator's RNG state and every
-/// trace cursor's file offset, so restored runs resume the feed
-/// bit-identically.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct FeederSet {
-    feeders: Vec<Feeder>,
-}
-
-impl FeederSet {
-    /// Builds feeders for the streamed workloads (fixed programs need
-    /// none).
-    pub(crate) fn new(workloads: &[Workload]) -> Self {
-        let feeders = workloads
-            .iter()
-            .enumerate()
-            .filter_map(|(ordinal, w)| match w {
-                Workload::Fixed(_) => None,
-                Workload::Streamed(source) => Some(Feeder {
-                    ordinal,
-                    source: source.clone(),
-                    releases: std::collections::HashMap::new(),
-                    primed: false,
-                    exhausted: false,
-                }),
-            })
-            .collect();
-        FeederSet { feeders }
-    }
-
-    /// Tops every active feeder up to `now + FEED_WINDOW` of release on
-    /// its *slowest-filling* stream, appending pulled commands through
-    /// `append(ordinal, chunk)`. The first pull primes with
-    /// [`FeedSource::prime_release`] so every stream's first command
-    /// lands at cycle 0 (identical in both step modes). Chunk
-    /// boundaries never affect the command stream's content, so refill
-    /// cadence (every dense step vs. every horizon bound) is
-    /// unobservable.
-    pub(crate) fn refill(&mut self, now: u64, mut append: impl FnMut(usize, &[SocketCommand])) {
-        for f in &mut self.feeders {
-            if f.exhausted {
-                continue;
-            }
-            if !f.primed {
-                f.primed = true;
-                let chunk = f.source.pull(f.source.prime_release(now + FEED_WINDOW));
-                if chunk.is_empty() {
-                    f.exhausted = true;
-                    continue;
-                }
-                f.account(&chunk);
-                append(f.ordinal, &chunk);
-            }
-            while f.min_release() < now + FEED_WINDOW {
-                let chunk = f.source.pull(now + FEED_WINDOW - f.min_release());
-                if chunk.is_empty() {
-                    f.exhausted = true;
-                    break;
-                }
-                f.account(&chunk);
-                append(f.ordinal, &chunk);
-            }
-        }
-    }
-
-    /// The furthest cycle the backend may advance to before the next
-    /// refill: `horizon`, capped by every active feeder's
-    /// `min(releases)` bound. Stopping at the bound (exclusive of
-    /// executing that cycle) guarantees the refill lands before the
-    /// master could first observe any stream of its program drained.
-    pub(crate) fn bound(&self, horizon: u64) -> u64 {
-        self.feeders
-            .iter()
-            .filter(|f| !f.exhausted)
-            .fold(horizon, |b, f| b.min(f.min_release()))
-    }
-
-    /// Whether every feeder has drained its source.
-    pub(crate) fn exhausted(&self) -> bool {
-        self.feeders.iter().all(|f| f.exhausted)
-    }
-
-    /// Splits the set into one [`FeederSet`] per region of `sharded`,
-    /// each holding exactly the feeders whose master lives there, so
-    /// the overlapped runner can refill regions from inside their
-    /// workers. Reassemble with [`FeederSet::merge`].
-    fn split_by_region(&mut self, sharded: &ShardedSoc) -> Vec<FeederSet> {
-        let mut per_region: Vec<FeederSet> = (0..sharded.regions())
-            .map(|_| FeederSet::default())
-            .collect();
-        for f in self.feeders.drain(..) {
-            per_region[sharded.initiator_region(f.ordinal)]
-                .feeders
-                .push(f);
-        }
-        per_region
-    }
-
-    /// Reabsorbs region feeder sets, restoring the canonical global
-    /// ordering (by master ordinal) so snapshots and later splits are
-    /// bit-identical to a never-split set.
-    fn merge(&mut self, parts: Vec<FeederSet>) {
-        debug_assert!(self.feeders.is_empty());
-        for mut part in parts {
-            self.feeders.append(&mut part.feeders);
-        }
-        self.feeders.sort_by_key(|f| f.ordinal);
-    }
-}
-
-/// The overlapped runner's view of one region's streamed workloads:
-/// refill appends through global master ordinals (the runner maps them
-/// to region-local ones), the bound is the set's earliest unappended
-/// release, uncapped (the runner folds in its own horizon).
-impl RegionFeeder for FeederSet {
-    fn refill(&mut self, frontier: u64, append: &mut dyn FnMut(usize, &[SocketCommand])) {
-        FeederSet::refill(self, frontier, |ordinal, tail| append(ordinal, tail));
-    }
-    fn bound(&self) -> u64 {
-        FeederSet::bound(self, u64::MAX)
-    }
-    fn exhausted(&self) -> bool {
-        FeederSet::exhausted(self)
-    }
-}
 
 /// How [`Simulation::run_until`] advances base time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -317,17 +147,18 @@ pub trait Simulation: Send {
     /// bit-identical logs and counters, pinned by the snapshot suite.
     fn snapshot(&self) -> Box<dyn Simulation>;
 
-    /// Loads one workload per master (declaration order) into a
-    /// simulation that has not started executing. Warm-state forking
-    /// snapshots a programless checkpoint and injects each point's real
-    /// workload through this hook. Fixed workloads load whole; streamed
-    /// workloads install a feeder and prime its first window.
+    /// Loads one program per master (declaration order) into a
+    /// simulation that has not started executing; each master pulls its
+    /// commands from its source as it runs. Builds load every workload
+    /// through this hook, and warm-state forking snapshots a
+    /// programless checkpoint and injects each point's real workload
+    /// ([`crate::ScenarioSpec::programs`]).
     ///
     /// # Panics
     ///
-    /// Panics if the simulation already stepped or the workload count
+    /// Panics if the simulation already stepped or the program count
     /// does not match the master count.
-    fn load_programs(&mut self, workloads: &[Workload]);
+    fn load_programs(&mut self, programs: Vec<Box<dyn CommandSource>>);
 
     /// Installs the [`Partition`] a first sharded run will cut the
     /// fabric with. Warm-state forking needs this hook: the cached
@@ -500,7 +331,6 @@ macro_rules! with_soc {
 #[derive(Clone)]
 pub struct NocSim {
     state: SocState,
-    feeders: FeederSet,
     /// The scenario's `[config] shards` knob — the thread count
     /// [`StepMode::Sharded`]`{ threads: 0 }` resolves to before falling
     /// back to the machine's available parallelism.
@@ -515,7 +345,6 @@ impl NocSim {
     pub(crate) fn new(soc: Soc) -> Self {
         NocSim {
             state: SocState::Single(soc),
-            feeders: FeederSet::default(),
             default_shards: None,
             partition: None,
         }
@@ -539,16 +368,6 @@ impl NocSim {
     /// The partition the first sharded run will use, if one was pinned.
     pub fn partition(&self) -> Option<&Partition> {
         self.partition.as_ref()
-    }
-
-    /// Installs the streamed-workload feeders and primes their first
-    /// window (fixed programs are already loaded into the masters).
-    pub(crate) fn attach_workloads(&mut self, workloads: &[Workload]) {
-        self.feeders = FeederSet::new(workloads);
-        let NocSim { state, feeders, .. } = self;
-        with_soc!(state, soc => feeders.refill(soc.now(), |ordinal, tail| {
-            soc.append_commands(ordinal, tail)
-        }));
     }
 
     /// The underlying SoC, for fabric-level inspection.
@@ -630,19 +449,13 @@ impl NocSim {
 
 impl Simulation for NocSim {
     fn step(&mut self) {
-        let NocSim { state, feeders, .. } = self;
-        with_soc!(state, soc => {
-            feeders.refill(soc.now(), |ordinal, tail| {
-                soc.append_commands(ordinal, tail)
-            });
-            soc.step();
-        });
+        with_soc!(&mut self.state, soc => soc.step())
     }
     fn now(&self) -> u64 {
         with_soc!(&self.state, soc => soc.now())
     }
     fn is_done(&self) -> bool {
-        self.feeders.exhausted() && with_soc!(&self.state, soc => soc.is_done())
+        with_soc!(&self.state, soc => soc.is_done())
     }
     fn logs(&self) -> Vec<(&str, &CompletionLog)> {
         with_soc!(&self.state, soc => soc.completion_logs())
@@ -654,27 +467,9 @@ impl Simulation for NocSim {
         with_soc!(&self.state, soc => soc.next_activity())
     }
     fn advance_to(&mut self, horizon: u64) {
-        let NocSim { state, feeders, .. } = self;
-        match state {
-            SocState::Single(soc) => {
-                while soc.now() < horizon {
-                    feeders.refill(soc.now(), |ordinal, tail| {
-                        soc.append_commands(ordinal, tail)
-                    });
-                    soc.advance_to(feeders.bound(horizon));
-                    if (feeders.exhausted() && soc.is_done()) || soc.now() >= horizon {
-                        break;
-                    }
-                }
-            }
-            SocState::Sharded(sharded) => {
-                // The overlapped runner refills each region's feeders
-                // from inside its worker; split the set along the
-                // partition for the duration of the run.
-                let mut region_feeders = feeders.split_by_region(sharded);
-                sharded.advance_overlapped(horizon, &mut region_feeders);
-                feeders.merge(region_feeders);
-            }
+        match &mut self.state {
+            SocState::Single(soc) => soc.advance_to(horizon),
+            SocState::Sharded(sharded) => sharded.advance_overlapped(horizon),
             SocState::Converting => unreachable!("transient conversion placeholder escaped"),
         }
     }
@@ -715,10 +510,8 @@ impl Simulation for NocSim {
     fn snapshot(&self) -> Box<dyn Simulation> {
         Box::new(self.clone())
     }
-    fn load_programs(&mut self, workloads: &[Workload]) {
-        let heads: Vec<Program> = workloads.iter().map(Workload::head_program).collect();
-        with_soc!(&mut self.state, soc => soc.load_programs(&heads));
-        self.attach_workloads(workloads);
+    fn load_programs(&mut self, programs: Vec<Box<dyn CommandSource>>) {
+        with_soc!(&mut self.state, soc => soc.load_programs(programs))
     }
     fn set_partition(&mut self, partition: Option<Partition>) {
         NocSim::set_partition(self, partition);
@@ -745,7 +538,6 @@ pub struct BaselineSim<I> {
     ic: I,
     backend: &'static str,
     names: Vec<String>,
-    feeders: FeederSet,
 }
 
 /// The Fig-2 bridged reference-socket realisation of a scenario.
@@ -756,26 +548,7 @@ pub type BusSim = BaselineSim<SharedBus>;
 
 impl<I: Interconnect> BaselineSim<I> {
     pub(crate) fn new(backend: &'static str, ic: I, names: Vec<String>) -> Self {
-        BaselineSim {
-            ic,
-            backend,
-            names,
-            feeders: FeederSet::default(),
-        }
-    }
-
-    /// Installs the streamed-workload feeders and primes their first
-    /// window (fixed programs are already loaded into the masters).
-    pub(crate) fn attach_workloads(&mut self, workloads: &[Workload]) {
-        self.feeders = FeederSet::new(workloads);
-        self.refill();
-    }
-
-    /// Tops up every streamed master's program window.
-    fn refill(&mut self) {
-        let ic = &mut self.ic;
-        self.feeders
-            .refill(ic.now(), |ordinal, tail| ic.append_commands(ordinal, tail));
+        BaselineSim { ic, backend, names }
     }
 
     /// The underlying interconnect, for backend-specific counters such
@@ -793,14 +566,13 @@ impl<I: Interconnect> BaselineSim<I> {
 
 impl<I: Interconnect + fmt::Debug + Clone + Send + 'static> Simulation for BaselineSim<I> {
     fn step(&mut self) {
-        self.refill();
         self.ic.step();
     }
     fn now(&self) -> u64 {
         self.ic.now()
     }
     fn is_done(&self) -> bool {
-        self.feeders.exhausted() && self.ic.is_done()
+        self.ic.is_done()
     }
     fn logs(&self) -> Vec<(&str, &CompletionLog)> {
         self.names
@@ -822,13 +594,7 @@ impl<I: Interconnect + fmt::Debug + Clone + Send + 'static> Simulation for Basel
         self.ic.calendar_pops()
     }
     fn advance_to(&mut self, horizon: u64) {
-        while self.ic.now() < horizon {
-            self.refill();
-            self.ic.advance_to(self.feeders.bound(horizon));
-            if Simulation::is_done(self) || self.ic.now() >= horizon {
-                break;
-            }
-        }
+        self.ic.advance_to(horizon);
     }
     fn report(&self) -> ScenarioReport {
         let ic = &self.ic;
@@ -854,9 +620,7 @@ impl<I: Interconnect + fmt::Debug + Clone + Send + 'static> Simulation for Basel
     fn snapshot(&self) -> Box<dyn Simulation> {
         Box::new(self.clone())
     }
-    fn load_programs(&mut self, workloads: &[Workload]) {
-        let heads: Vec<Program> = workloads.iter().map(Workload::head_program).collect();
-        self.ic.load_programs(&heads);
-        self.attach_workloads(workloads);
+    fn load_programs(&mut self, programs: Vec<Box<dyn CommandSource>>) {
+        self.ic.load_programs(programs);
     }
 }

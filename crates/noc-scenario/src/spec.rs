@@ -1,6 +1,8 @@
 //! The declarative scenario description and its compilers.
 
-use crate::program::{ProgramSpec, StochasticShape, TraceCursor, Workload, ZipfSpec};
+use crate::program::{
+    BurstyGen, ProgramSpec, StochasticShape, TraceCursor, TraceSpec, ZipfGen, ZipfSpec,
+};
 use crate::sim::{BridgedSim, BusSim, NocSim, Simulation};
 use noc_baseline::{
     AttachedMaster, BridgeConfig, BridgedInterconnect, BusConfig, SharedBus, SlaveTiming,
@@ -18,7 +20,7 @@ use noc_protocols::axi::{AxiMaster, AxiSlave};
 use noc_protocols::ocp::OcpMaster;
 use noc_protocols::strm::StrmMaster;
 use noc_protocols::vci::{VciFlavor, VciMaster};
-use noc_protocols::{MemoryModel, Program, ProtocolKind};
+use noc_protocols::{CommandSource, MemoryModel, Program, ProtocolKind};
 use noc_system::{NocConfig, Partition, SocBuilder};
 use noc_topology::{RouteAlgorithm, Topology, TopologyBuilder};
 use noc_transaction::{AddressMap, MstAddr, Opcode, OrderingModel, SlvAddr};
@@ -207,9 +209,10 @@ impl SocketSpec {
         }
     }
 
-    /// Instantiates the socket master agent plus its NIU front end over
-    /// `program`.
-    pub fn build_fe(&self, program: Program) -> Box<dyn SocketInitiator> {
+    /// Instantiates the programless socket master agent plus its NIU
+    /// front end; the build loads the program afterwards.
+    pub fn build_fe(&self) -> Box<dyn SocketInitiator> {
+        let program = Program::new();
         match *self {
             SocketSpec::Ahb => Box::new(AhbInitiator::new(AhbMaster::new(program))),
             SocketSpec::Ocp {
@@ -1261,50 +1264,44 @@ impl ScenarioSpec {
         }
     }
 
-    /// Build-time validation of every declared trace file: each record
-    /// parses, timestamps are non-decreasing, and each record passes the
-    /// containment and shape rules explicit commands are held to.
-    /// Kept separate from [`ScenarioSpec::validate`] so validation of a
-    /// spec stays I/O-free; all three builders call this.
-    fn validate_traces(&self) -> Result<(), ScenarioError> {
-        for ini in &self.initiators {
-            let ProgramSpec::Trace(t) = &ini.program else {
-                continue;
-            };
-            let max_streams = ini.socket.max_streams();
-            let is_pvci = matches!(ini.socket.kind(), ProtocolKind::Pvci);
-            TraceCursor::validate_file(&t.path, |rec| {
-                let burst_bytes = rec.beats as u64 * rec.beat_bytes as u64;
-                let contained = self
-                    .memories
-                    .iter()
-                    .any(|m| rec.addr >= m.base && rec.addr + burst_bytes <= m.end);
-                if !contained {
+    /// Opens the trace `ini` replays, validating the whole file: each
+    /// record parses, timestamps are non-decreasing, and each record
+    /// passes the containment and shape rules explicit commands are
+    /// held to. Kept out of [`ScenarioSpec::validate`] so validation of
+    /// a spec stays I/O-free.
+    fn open_trace(&self, ini: &InitiatorSpec, t: &TraceSpec) -> Result<TraceCursor, ScenarioError> {
+        let max_streams = ini.socket.max_streams();
+        let is_pvci = matches!(ini.socket.kind(), ProtocolKind::Pvci);
+        TraceCursor::open(&t.path, |rec| {
+            let burst_bytes = rec.beats as u64 * rec.beat_bytes as u64;
+            let contained = self
+                .memories
+                .iter()
+                .any(|m| rec.addr >= m.base && rec.addr + burst_bytes <= m.end);
+            if !contained {
+                return Err(format!(
+                    "{:#x}+{burst_bytes} lands outside every memory region",
+                    rec.addr
+                ));
+            }
+            if let Some(max) = max_streams {
+                if rec.stream >= max {
                     return Err(format!(
-                        "{:#x}+{burst_bytes} lands outside every memory region",
-                        rec.addr
+                        "stream {} exceeds the socket's {max} stream(s)",
+                        rec.stream
                     ));
                 }
-                if let Some(max) = max_streams {
-                    if rec.stream >= max {
-                        return Err(format!(
-                            "stream {} exceeds the socket's {max} stream(s)",
-                            rec.stream
-                        ));
-                    }
-                }
-                if is_pvci && rec.beats != 1 {
-                    return Err("PVCI sockets issue single-beat commands only".into());
-                }
-                Ok(())
-            })
-            .map_err(|(line, reason)| ScenarioError::Trace {
-                path: t.path.clone(),
-                line,
-                reason,
-            })?;
-        }
-        Ok(())
+            }
+            if is_pvci && rec.beats != 1 {
+                return Err("PVCI sockets issue single-beat commands only".into());
+            }
+            Ok(())
+        })
+        .map_err(|(line, reason)| ScenarioError::Trace {
+            path: t.path.clone(),
+            line,
+            reason,
+        })
     }
 
     /// The address map derived from the declared memory regions.
@@ -1327,16 +1324,28 @@ impl ScenarioSpec {
         self.initiators.iter().map(|i| i.name.clone()).collect()
     }
 
-    /// The per-initiator workloads, in declaration order — what a warm
-    /// fork injects via [`Simulation::load_programs`]. Explicit programs
-    /// become [`Workload::Fixed`]; stochastic and trace kinds become
-    /// [`Workload::Streamed`] sources carrying the declared memory
-    /// regions as their target ranges.
-    pub fn programs(&self) -> Vec<Workload> {
+    /// The per-initiator command sources, in declaration order — what
+    /// every build, and every warm fork, loads via
+    /// [`Simulation::load_programs`]. Stochastic kinds target the
+    /// declared memory regions; trace kinds open their file, which
+    /// validates it whole.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ScenarioError::Trace`] for an unreadable or invalid
+    /// trace file.
+    pub fn programs(&self) -> Result<Vec<Box<dyn CommandSource>>, ScenarioError> {
         let regions: Vec<(u64, u64)> = self.memories.iter().map(|m| (m.base, m.end)).collect();
         self.initiators
             .iter()
-            .map(|i| i.program.workload(&regions))
+            .map(|ini| -> Result<Box<dyn CommandSource>, ScenarioError> {
+                Ok(match &ini.program {
+                    ProgramSpec::Explicit(p) => Box::new(p.clone()),
+                    ProgramSpec::Bursty(b) => Box::new(BurstyGen::new(*b, regions.clone())),
+                    ProgramSpec::Zipf(z) => Box::new(ZipfGen::new(*z, regions.clone())),
+                    ProgramSpec::Trace(t) => Box::new(self.open_trace(ini, t)?),
+                })
+            })
             .collect()
     }
 
@@ -1481,7 +1490,7 @@ impl ScenarioSpec {
     /// Returns [`ScenarioError`] if the declaration is inconsistent.
     pub fn build_noc(&self, mut config: NocConfig) -> Result<NocSim, ScenarioError> {
         let map = self.address_map()?;
-        self.validate_traces()?;
+        let programs = self.programs()?;
         if let Some(overrides) = &self.config {
             config = overrides.apply(config);
         }
@@ -1496,11 +1505,7 @@ impl ScenarioSpec {
         let mut builder = SocBuilder::new(topology, config);
         for (i, ini) in self.initiators.iter().enumerate() {
             let node = self.initiator_node(i);
-            let niu = InitiatorNiu::new(
-                ini.socket.build_fe(ini.program.head_program()),
-                ini.niu_config(node),
-                map.clone(),
-            );
+            let niu = InitiatorNiu::new(ini.socket.build_fe(), ini.niu_config(node), map.clone());
             builder = builder.initiator_clocked(&ini.name, node, Box::new(niu), ini.clock_divisor);
         }
         for (i, mem) in self.memories.iter().enumerate() {
@@ -1514,7 +1519,7 @@ impl ScenarioSpec {
         let mut sim = NocSim::new(soc);
         sim.set_default_shards(self.config.as_ref().and_then(|c| c.shards));
         sim.set_partition(self.resolve_partition()?);
-        sim.attach_workloads(&self.programs());
+        sim.load_programs(programs);
         Ok(sim)
     }
 
@@ -1567,13 +1572,10 @@ impl ScenarioSpec {
     pub fn build_bridged(&self, config: BridgeConfig) -> Result<BridgedSim, ScenarioError> {
         self.reject_clocked("bridged")?;
         let map = self.address_map()?;
-        self.validate_traces()?;
+        let programs = self.programs()?;
         let mut ic = BridgedInterconnect::new(config, map);
         for ini in &self.initiators {
-            ic.add_master(AttachedMaster::new(
-                &ini.name,
-                ini.socket.build_fe(ini.program.head_program()),
-            ));
+            ic.add_master(AttachedMaster::new(&ini.name, ini.socket.build_fe()));
         }
         for (i, mem) in self.memories.iter().enumerate() {
             ic.add_slave_timed(
@@ -1584,7 +1586,7 @@ impl ScenarioSpec {
             );
         }
         let mut sim = BridgedSim::new("bridged", ic, self.master_names());
-        sim.attach_workloads(&self.programs());
+        sim.load_programs(programs);
         Ok(sim)
     }
 
@@ -1600,13 +1602,10 @@ impl ScenarioSpec {
         self.reject_clocked("bus")?;
         self.reject_bus_targets()?;
         let map = self.address_map()?;
-        self.validate_traces()?;
+        let programs = self.programs()?;
         let mut bus = SharedBus::new(config, map);
         for ini in &self.initiators {
-            bus.add_master(AttachedMaster::new(
-                &ini.name,
-                ini.socket.build_fe(ini.program.head_program()),
-            ));
+            bus.add_master(AttachedMaster::new(&ini.name, ini.socket.build_fe()));
         }
         for mem in &self.memories {
             bus.add_slave_timed(
@@ -1616,7 +1615,7 @@ impl ScenarioSpec {
             );
         }
         let mut sim = BusSim::new("bus", bus, self.master_names());
-        sim.attach_workloads(&self.programs());
+        sim.load_programs(programs);
         Ok(sim)
     }
 }

@@ -110,7 +110,7 @@
 //! code; the spec-level `routing` override covers the one knob the
 //! corpus needs. Parsing reports precise line/column [`ParseError`]s;
 //! [`ScenarioSpec::from_text`] wraps them in
-//! [`ScenarioError::Parse`](crate::ScenarioError::Parse).
+//! [`ScenarioError::Parse`].
 //!
 //! # Examples
 //!

@@ -77,9 +77,9 @@ impl CheckpointCache {
     /// (then cached) otherwise. Returns the simulation and whether it
     /// was a warm fork.
     ///
-    /// The *full* spec is validated first, so program-dependent errors
-    /// (say, an unmapped address) surface even when the platform itself
-    /// is already warm.
+    /// The *full* spec is validated first, trace files included, so
+    /// program-dependent errors (say, an unmapped address) surface even
+    /// when the platform itself is already warm.
     ///
     /// # Errors
     ///
@@ -90,6 +90,7 @@ impl CheckpointCache {
         point: &SweepPoint,
     ) -> Result<(Box<dyn Simulation>, bool), ScenarioError> {
         point.spec.validate()?;
+        let programs = point.spec.programs()?;
         let key = point.spec.prefix_key(&point.backend);
         self.clock += 1;
         let clock = self.clock;
@@ -97,7 +98,7 @@ impl CheckpointCache {
             entry.last_used = clock;
             self.hits += 1;
             let mut sim = entry.checkpoint.snapshot();
-            sim.load_programs(&point.spec.programs());
+            sim.load_programs(programs);
             // The checkpoint was built without programs, so its pinned
             // partition lacks the static load estimate — re-resolve
             // from the full spec now that the programs are in.
@@ -107,7 +108,7 @@ impl CheckpointCache {
         self.misses += 1;
         let checkpoint = point.spec.without_programs().build(&point.backend)?;
         let mut sim = checkpoint.snapshot();
-        sim.load_programs(&point.spec.programs());
+        sim.load_programs(programs);
         sim.set_partition(point.spec.resolve_partition()?);
         if self.entries.len() == self.capacity {
             let lru = self

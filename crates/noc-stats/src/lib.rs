@@ -1,6 +1,5 @@
-//! Measurement utilities for NoC experiments: counters, running summaries,
-//! latency histograms with percentiles, utilization meters and ASCII table
-//! rendering.
+//! Measurement utilities for NoC experiments: latency histograms with
+//! percentiles and ASCII table rendering.
 //!
 //! Every experiment binary in the workspace reports through these types so
 //! tables come out in one consistent format.
@@ -8,7 +7,7 @@
 //! # Examples
 //!
 //! ```
-//! use noc_stats::{Histogram, Summary};
+//! use noc_stats::Histogram;
 //! let mut h = Histogram::new();
 //! for v in [10, 12, 11, 40, 13] {
 //!     h.record(v);
@@ -20,11 +19,7 @@
 //! ```
 
 pub mod histogram;
-pub mod meter;
-pub mod summary;
 pub mod table;
 
 pub use histogram::Histogram;
-pub use meter::{Counter, RateMeter, Utilization};
-pub use summary::Summary;
 pub use table::Table;

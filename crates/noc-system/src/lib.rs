@@ -52,5 +52,5 @@ pub mod soc;
 
 pub use fabric::Fabric;
 pub use report::{EpochOccupancy, FabricReport, MasterReport, SocReport};
-pub use shard::{Partition, RegionFeeder, ShardedSoc};
+pub use shard::{Partition, ShardedSoc};
 pub use soc::{BuildError, NocConfig, Soc, SocBuilder};

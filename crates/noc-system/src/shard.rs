@@ -29,17 +29,16 @@
 //!   epoch.
 //! - **The window min-reduction is redundant, not serial.** Each
 //!   worker publishes a small per-epoch record (frontier, next
-//!   activity, drained flag, executed steps, feeder release bound) and
+//!   activity, drained flag, executed steps) and
 //!   every worker independently folds all records into the identical
 //!   next window. Published-but-unintegrated traffic is folded in via
 //!   per-mailbox minimum arrival stamps ([`noc_kernel::MinStamp`]), so
 //!   a region that drained *after* sending can never widen the window
 //!   past a staged arrival.
-//! - **Feeder refill runs inside the workers.** Each region refills
-//!   its own streamed workloads at its own frontier
-//!   ([`RegionFeeder`]); the published release bound caps the next
-//!   window exactly like the serial runner's global bound did (stale
-//!   bounds are only ever smaller, hence conservative).
+//!
+//! Streamed workloads need no runner support: every master pulls its
+//! own commands from its source, so a region's workloads advance with
+//! the region itself.
 //!
 //! # Determinism
 //!
@@ -69,7 +68,7 @@ use crate::fabric::Fabric;
 use crate::report::{EpochOccupancy, FabricReport, MasterReport, SocReport};
 use crate::soc::{Soc, SocSplit};
 use noc_kernel::{EpochPlanner, Horizon, MinStamp, ParityCell, SpinBarrier};
-use noc_protocols::{CompletionLog, Program, SocketCommand};
+use noc_protocols::{CommandSource, CompletionLog};
 use noc_transport::Flit;
 
 /// How switches are assigned to regions. Every variant produces
@@ -216,37 +215,6 @@ fn balanced_band_partition(weights: &[u64], regions: usize) -> Vec<usize> {
     map
 }
 
-/// Per-region streamed-workload refill, driven from inside the
-/// overlapped runner's worker threads.
-///
-/// `refill` is called once per epoch at the region's frontier with an
-/// append hook taking *global* initiator ordinals; it must append every
-/// command released below its look-ahead window. `bound` is the
-/// exclusive cycle the epoch window may not cross (a lower bound on the
-/// next unappended release — stale values are fine, they only shrink
-/// windows). `exhausted` reports that no further input will ever
-/// arrive. Program-driven runs (everything loaded up front) can pass
-/// `()` for every region.
-pub trait RegionFeeder: Send {
-    /// Appends commands released before the region's look-ahead bound.
-    fn refill(&mut self, frontier: u64, append: &mut dyn FnMut(usize, &[SocketCommand]));
-    /// Exclusive bound the next epoch window may not cross.
-    fn bound(&self) -> u64;
-    /// `true` once the workload source has nothing further, ever.
-    fn exhausted(&self) -> bool;
-}
-
-/// The no-op feeder for fully pre-loaded (program-driven) regions.
-impl RegionFeeder for () {
-    fn refill(&mut self, _frontier: u64, _append: &mut dyn FnMut(usize, &[SocketCommand])) {}
-    fn bound(&self) -> u64 {
-        u64::MAX
-    }
-    fn exhausted(&self) -> bool {
-        true
-    }
-}
-
 /// Cross-region routing scratch, reused across epochs.
 #[derive(Debug, Clone, Default)]
 struct RouteBufs {
@@ -322,13 +290,10 @@ struct RegionPub {
     now: u64,
     /// Earliest cycle the region can act, `None` when drained.
     activity: Option<u64>,
-    /// Drained: endpoints done, fabrics idle (checked after refill, so
-    /// it also means the feeder appended nothing at this frontier).
+    /// Drained: endpoints done, fabrics idle.
     done: bool,
     /// Steps executed inside the closing epoch (occupancy accounting).
     busy: u64,
-    /// The region feeder's exclusive release bound.
-    bound: u64,
 }
 
 /// A [`Soc`] partitioned into regions for conservative parallel
@@ -429,13 +394,6 @@ impl ShardedSoc {
         self.planner.lookahead()
     }
 
-    /// The region that hosts the `ordinal`-th initiator (global
-    /// declaration order) — feeder splitting uses this to route
-    /// streamed workloads to their worker.
-    pub fn initiator_region(&self, ordinal: usize) -> usize {
-        self.initiator_map[ordinal].0
-    }
-
     /// Epoch load-balance accounting accumulated so far by
     /// [`ShardedSoc::advance_overlapped`]. `epochs == 0` until the
     /// overlapped runner has completed an epoch.
@@ -480,28 +438,21 @@ impl ShardedSoc {
     ///
     /// Panics if the system already stepped or the program count does
     /// not match the initiator count.
-    pub fn load_programs(&mut self, programs: &[Program]) {
+    pub fn load_programs(&mut self, programs: Vec<Box<dyn CommandSource>>) {
         assert_eq!(
             programs.len(),
             self.initiator_map.len(),
             "one program per initiator endpoint"
         );
-        let mut per_region: Vec<Vec<Program>> = vec![Vec::new(); self.regions.len()];
-        for (ordinal, program) in programs.iter().enumerate() {
-            let (r, local) = self.initiator_map[ordinal];
+        let mut per_region: Vec<Vec<Box<dyn CommandSource>>> =
+            (0..self.regions.len()).map(|_| Vec::new()).collect();
+        for (&(r, local), program) in self.initiator_map.iter().zip(programs) {
             debug_assert_eq!(local, per_region[r].len());
-            per_region[r].push(program.clone());
+            per_region[r].push(program);
         }
-        for (soc, programs) in self.regions.iter_mut().zip(&per_region) {
+        for (soc, programs) in self.regions.iter_mut().zip(per_region) {
             soc.load_programs(programs);
         }
-    }
-
-    /// Appends commands to the `ordinal`-th initiator (global
-    /// declaration order), mid-run; see [`Soc::append_commands`].
-    pub fn append_commands(&mut self, ordinal: usize, tail: &[SocketCommand]) {
-        let (r, local) = self.initiator_map[ordinal];
-        self.regions[r].append_commands(local, tail);
     }
 
     /// Named completion logs of all initiators, in global declaration
@@ -631,32 +582,18 @@ impl ShardedSoc {
 
     /// Runs overlapped conservative epochs until the system drains or
     /// every region reaches `horizon` — the threaded entry point; see
-    /// the module docs for the protocol. `feeders` supplies one
-    /// [`RegionFeeder`] per region ([`RegionFeeder::refill`] receives
-    /// *global* initiator ordinals; split streamed workloads with
-    /// [`ShardedSoc::initiator_region`], or pass `vec![(); regions]`
-    /// for program-driven runs).
+    /// the module docs for the protocol.
     ///
     /// On return every region sits at the exact cycle a single-threaded
     /// run would have stopped at, with bit-identical state, and
     /// [`ShardedSoc::occupancy`] has accumulated the run's epoch
     /// load-balance counters.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `feeders.len() != self.regions()`.
-    pub fn advance_overlapped<F: RegionFeeder>(&mut self, horizon: u64, feeders: &mut [F]) {
-        assert_eq!(
-            feeders.len(),
-            self.regions.len(),
-            "one feeder per region (use `()` for program-driven regions)"
-        );
+    pub fn advance_overlapped(&mut self, horizon: u64) {
         // Anything staged by a previous dense run is integrated
         // up front, so the workers start from clean outboxes.
         self.route_cross();
         let region_count = self.regions.len();
         let planner = &self.planner;
-        let initiator_map = &self.initiator_map;
         let req_flit_to = &self.req_flit_to;
         let req_credit_to = &self.req_credit_to;
         let resp_flit_to = &self.resp_flit_to;
@@ -666,14 +603,13 @@ impl ShardedSoc {
             .map(|_| ParityCell::new(RegionPub::default(), RegionPub::default()))
             .collect();
         let barrier = SpinBarrier::new(region_count);
-        let run = |r: usize, soc: &mut Soc, feeder: &mut F| -> (EpochOccupancy, u64) {
+        let run = |r: usize, soc: &mut Soc| -> (EpochOccupancy, u64) {
             let mut occ = EpochOccupancy::default();
             let mut stage: Vec<MailBuf> = (0..region_count).map(|_| MailBuf::default()).collect();
             let mut flits: Vec<(u32, u64, Flit)> = Vec::new();
             let mut credits: Vec<(u32, u64)> = Vec::new();
-            // Prime: refill at the current frontier, then publish the
-            // initial snapshot where epoch 0's reduction will look.
-            refill_region(soc, feeder, r, initiator_map);
+            // Prime: publish the initial snapshot where epoch 0's
+            // reduction will look.
             *pubs[r].lock(1) = RegionPub {
                 now: soc.now(),
                 activity: if soc.is_done() {
@@ -683,7 +619,6 @@ impl ShardedSoc {
                 },
                 done: soc.is_done(),
                 busy: 0,
-                bound: feeder.bound(),
             };
             barrier.wait();
             let mut epoch: u64 = 0;
@@ -698,7 +633,6 @@ impl ShardedSoc {
                 let mut max_now = 0u64;
                 let mut max_busy = 0u64;
                 let mut total_busy = 0u64;
-                let mut bound = u64::MAX;
                 let mut global = Horizon::new();
                 for cell in pubs.iter() {
                     let p = *cell.lock(prev);
@@ -710,7 +644,6 @@ impl ShardedSoc {
                     }
                     max_busy = max_busy.max(p.busy);
                     total_busy += p.busy;
-                    bound = bound.min(p.bound);
                 }
                 // Published-but-unintegrated traffic bounds the window
                 // too — a region that drained after sending must not
@@ -745,7 +678,7 @@ impl ShardedSoc {
                     barrier.wait();
                     return (occ, finish);
                 }
-                let window = planner.window(global.earliest(), [horizon, bound]);
+                let window = planner.window(global.earliest(), horizon);
                 // Step 2b: the epoch's real work, fully parallel.
                 let before = soc.executed_steps();
                 soc.advance_to(window);
@@ -791,11 +724,6 @@ impl ShardedSoc {
                         mail[dst].flit_min[stamp_slot].record(min_arrival);
                     }
                 }
-                // Step 2b': refill the feeder at the new frontier so
-                // the published bound covers the next epoch (serial
-                // runners refilled under the barrier; here each region
-                // refills its own workloads in parallel).
-                refill_region(soc, feeder, r, initiator_map);
                 // Step 2d: publish this region's state for the next
                 // reduction.
                 *pubs[r].lock(parity) = RegionPub {
@@ -807,7 +735,6 @@ impl ShardedSoc {
                     },
                     done: soc.is_done(),
                     busy,
-                    bound: feeder.bound(),
                 };
                 // Step 2e: opportunistically integrate whatever other
                 // regions have already published for us this epoch —
@@ -821,16 +748,16 @@ impl ShardedSoc {
             }
         };
         let (occ, finish) = std::thread::scope(|scope| {
-            let mut pairs = self.regions.iter_mut().zip(feeders.iter_mut());
-            let (soc0, feeder0) = pairs.next().expect("at least one region");
-            let handles: Vec<_> = pairs
+            let mut regions = self.regions.iter_mut();
+            let soc0 = regions.next().expect("at least one region");
+            let handles: Vec<_> = regions
                 .enumerate()
-                .map(|(i, (soc, feeder))| {
+                .map(|(i, soc)| {
                     let run = &run;
-                    scope.spawn(move || run(i + 1, soc, feeder))
+                    scope.spawn(move || run(i + 1, soc))
                 })
                 .collect();
-            let first = run(0, soc0, feeder0);
+            let first = run(0, soc0);
             for handle in handles {
                 handle.join().expect("epoch worker panicked");
             }
@@ -845,23 +772,6 @@ impl ShardedSoc {
         // and keeps the outbox-clean contract for whatever runs next.
         self.route_cross();
     }
-}
-
-/// One per-region refill round: pull everything the feeder releases
-/// below its look-ahead window into this region's initiators.
-fn refill_region<F: RegionFeeder>(
-    soc: &mut Soc,
-    feeder: &mut F,
-    r: usize,
-    initiator_map: &[(usize, usize)],
-) {
-    let frontier = soc.now();
-    feeder.refill(frontier, &mut |ordinal, tail| {
-        let (region, local) = initiator_map[ordinal];
-        debug_assert_eq!(region, r, "feeder command routed to a foreign region");
-        let _ = region;
-        soc.append_commands(local, tail);
-    });
 }
 
 /// Integrates one mailbox buffer into a region, draining it. Flits go

@@ -563,23 +563,24 @@ impl Soc {
     }
 
     /// Loads one socket program per initiator endpoint (build order)
-    /// into a system that has not started executing — the warm-state
-    /// forking hook: clone a checkpointed programless SoC, then inject
-    /// the point's real workload.
+    /// into a system that has not started executing. Scenario builds
+    /// load every workload, explicit or streamed, through this hook,
+    /// and warm-state forks inject a point's real workload into a
+    /// clone of a checkpointed programless SoC.
     ///
     /// # Panics
     ///
     /// Panics if the system already stepped, or if the program count
     /// does not match the initiator count.
-    pub fn load_programs(&mut self, programs: &[noc_protocols::Program]) {
+    pub fn load_programs(&mut self, programs: Vec<Box<dyn noc_protocols::CommandSource>>) {
         assert!(
             self.now == 0 && self.steps == 0,
             "programs can only be loaded before execution starts"
         );
-        let mut programs = programs.iter();
+        let mut programs = programs.into_iter();
         for ep in self.endpoints.iter_mut().filter(|e| e.is_initiator) {
             let program = programs.next().expect("one program per initiator endpoint");
-            ep.inner.load_program(program.clone());
+            ep.inner.load_program(program);
         }
         assert!(
             programs.next().is_none(),
@@ -590,33 +591,6 @@ impl Soc {
         for i in 0..self.endpoints.len() {
             self.refresh_endpoint(i);
         }
-    }
-
-    /// Appends commands to the program of the `ordinal`-th initiator
-    /// endpoint (build order — the same order
-    /// [`Soc::load_programs`] consumes), mid-run. While that initiator
-    /// still holds unissued commands the append instant is unobservable,
-    /// so feeding layers can stream unbounded workloads chunk by chunk
-    /// with bit-identical results. The endpoint's calendar wakeup is
-    /// re-registered afterwards ([`Calendar::set`] no-ops when the
-    /// target cycle is unchanged, which it is whenever the head command
-    /// stays the same).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `ordinal` exceeds the initiator count or a command
-    /// violates the socket's constraints.
-    pub fn append_commands(&mut self, ordinal: usize, tail: &[noc_protocols::SocketCommand]) {
-        let i = self
-            .endpoints
-            .iter()
-            .enumerate()
-            .filter(|(_, e)| e.is_initiator)
-            .nth(ordinal)
-            .map(|(i, _)| i)
-            .expect("initiator ordinal out of range");
-        self.endpoints[i].inner.append_commands(tail, self.now);
-        self.refresh_endpoint(i);
     }
 
     /// Named completion logs of all initiator endpoints (build order).

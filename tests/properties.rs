@@ -675,7 +675,7 @@ fn horizon_stepping_equals_dense_on_random_scenarios() {
 /// (bursty or zipf) — shapes constrained exactly as `validate` demands,
 /// so every draw is a legal spec. With `clocks`, every initiator runs on
 /// a divided clock (divisor 1–3) drawn from that separate stream, so the
-/// streamed commands are appended mid-run to masters that count down in
+/// streamed commands are pulled mid-run by masters that count down in
 /// local ticks, while the rest of the draw stays exactly what `rng`
 /// yields without clocks. Divided clocks are NoC-only.
 fn arb_stochastic_scenario(
@@ -972,8 +972,8 @@ fn run_noc_observable(
 /// single-thread dense and horizon stepping, for *any* region count —
 /// including counts that do not divide the switch count and counts
 /// exceeding it (clamped). Random fixed-program scenarios alternate
-/// with stochastic (bursty/Zipf) ones so both feed paths cross the
-/// epoch barrier.
+/// with stochastic (bursty/Zipf) ones so streamed programs cross the
+/// epoch barrier too.
 #[test]
 fn sharded_stepping_equals_dense_and_horizon_on_random_scenarios() {
     use noc_scenario::StepMode;
@@ -1086,8 +1086,8 @@ fn sharded_trace_replay_and_snapshots_resume_identically() {
 }
 
 /// Epoch-order invariance of the overlapped runner: the single-barrier
-/// protocol `StepMode::Sharded` drives (mailboxes published on send,
-/// per-region feeder refill inside the workers) must stay record- and
+/// protocol `StepMode::Sharded` drives (mailboxes published on send)
+/// must stay record- and
 /// counter-identical to single-thread dense stepping — for region
 /// counts 2, 4 and 7, a prime count included so bands never align with
 /// the topology.
@@ -1113,5 +1113,170 @@ fn overlapped_sharding_matches_dense() {
                 "case {case}: overlapped sharded({threads}) diverges from dense"
             );
         }
+    }
+}
+
+/// Runs `spec` on `backend` in `mode` and captures the drain flag, the
+/// final cycle and every completion record, timestamps included.
+fn run_records(
+    spec: &noc_scenario::ScenarioSpec,
+    backend: &noc_scenario::Backend,
+    mode: noc_scenario::StepMode,
+) -> (bool, u64, Vec<Vec<noc_protocols::CompletionRecord>>) {
+    let mut sim = spec.build(backend).expect("valid spec");
+    let drained = sim.run_until_with(3_000_000, mode);
+    let logs = sim
+        .logs()
+        .iter()
+        .map(|(_, log)| log.records().to_vec())
+        .collect();
+    (drained, sim.now(), logs)
+}
+
+/// `spec` with every generated or traced program replaced by the
+/// explicit command list its source yields.
+fn materialized(spec: &noc_scenario::ScenarioSpec) -> noc_scenario::ScenarioSpec {
+    let mut explicit = spec.clone();
+    let sources = spec.programs().expect("valid spec");
+    for (ini, mut source) in explicit.initiators.iter_mut().zip(sources) {
+        let mut program = Vec::new();
+        loop {
+            let chunk = source.pull();
+            if chunk.is_empty() {
+                break;
+            }
+            program.extend(chunk);
+        }
+        ini.program = program.into();
+    }
+    explicit
+}
+
+/// A streamed program runs exactly like the explicit command list its
+/// source yields: records, timestamps and final cycle agree on every
+/// backend that models the spec (the NoC alone once a clock is
+/// divided), in dense and horizon stepping, and on the NoC sharded in
+/// two.
+fn assert_streamed_equals_explicit(case: &str, spec: &noc_scenario::ScenarioSpec) {
+    use noc_scenario::{Backend, StepMode};
+
+    let explicit = materialized(spec);
+    let clocked = spec.initiators.iter().any(|i| i.clock_divisor != 1);
+    let mut runs = vec![
+        (Backend::noc(), StepMode::Dense),
+        (Backend::noc(), StepMode::Horizon),
+        (Backend::noc(), StepMode::Sharded { threads: 2 }),
+    ];
+    if !clocked {
+        for backend in [Backend::bridged(), Backend::bus()] {
+            runs.push((backend, StepMode::Dense));
+            runs.push((backend, StepMode::Horizon));
+        }
+    }
+    for (backend, mode) in runs {
+        let streamed = run_records(spec, &backend, mode);
+        assert!(streamed.0, "{case}: {backend} {mode} must drain");
+        assert_eq!(
+            streamed,
+            run_records(&explicit, &backend, mode),
+            "{case}: streamed and explicit programs diverge on {backend} {mode}"
+        );
+    }
+}
+
+/// Streaming is unobservable: random bursty/zipf specs (multi-thread
+/// OCP and advanced VCI, AXI, half of them on divided clocks) and trace
+/// replays run record- and timestamp-identically to the same specs with
+/// every program materialised up front.
+#[test]
+fn streamed_programs_equal_their_explicit_materialisation() {
+    use noc_scenario::{
+        InitiatorSpec, MemorySpec, ProgramSpec, ScenarioSpec, SocketSpec, TraceSpec,
+    };
+    use std::io::Write;
+
+    let mut rng = SplitMix64::new(0xE0_1F);
+    let mut clocks = SplitMix64::new(0xC10C9);
+    for case in 0..12 {
+        let mut spec = arb_stochastic_scenario(&mut rng, (case % 2 == 1).then_some(&mut clocks));
+        // Longer programs, so masters pull mid-run, not just at load.
+        for ini in &mut spec.initiators {
+            match &mut ini.program {
+                ProgramSpec::Bursty(b) => b.commands *= 5,
+                ProgramSpec::Zipf(z) => z.commands *= 5,
+                _ => unreachable!("arb emits only stochastic kinds"),
+            }
+        }
+        assert_streamed_equals_explicit(&format!("stochastic case {case}"), &spec);
+    }
+
+    // Traces: a two-thread OCP replay with interleaved threads, an AXI
+    // replay over four IDs, and a two-thread advanced-VCI replay whose
+    // thread 1 first appears after more than 1024 release cycles
+    // (`Σ 1 + delay`) of thread 0 alone. The second variant divides the
+    // OCP and VCI masters' clocks.
+    let write_trace = |file: &TempTrace, records: &[(u64, u64, u16)]| {
+        let mut f = std::fs::File::create(&file.0).expect("trace file");
+        for &(ts, addr, stream) in records {
+            let op = if addr & 0x10 == 0 { "read" } else { "write" };
+            writeln!(f, "{ts} {op} {addr:#x} 4 4 {stream}").unwrap();
+        }
+    };
+    let random_records = |rng: &mut SplitMix64, n: usize, streams: u64| {
+        let mut ts = 0u64;
+        (0..n)
+            .map(|_| {
+                ts += rng.next_below(30);
+                let addr = (rng.next_below(2) * 0x1000 + rng.next_below(0xF00)) & !0xF;
+                (ts, addr, rng.next_below(streams) as u16)
+            })
+            .collect::<Vec<_>>()
+    };
+    let ocp_trace = TempTrace::new("equiv-ocp");
+    write_trace(&ocp_trace, &random_records(&mut rng, 150, 2));
+    let axi_trace = TempTrace::new("equiv-axi");
+    write_trace(&axi_trace, &random_records(&mut rng, 150, 4));
+    let late_trace = TempTrace::new("equiv-late");
+    let mut late: Vec<(u64, u64, u16)> = (0..60).map(|i| (i * 25, i * 0x20, 0)).collect();
+    late.extend(
+        random_records(&mut rng, 80, 2)
+            .into_iter()
+            .map(|(ts, addr, stream)| (ts + 1500, addr, stream)),
+    );
+    write_trace(&late_trace, &late);
+    let path = |t: &TempTrace| t.0.to_str().expect("utf-8 temp path").to_owned();
+    for divisor in [1, 2] {
+        let spec = ScenarioSpec::new()
+            .initiator(
+                InitiatorSpec::new(
+                    "ocp",
+                    SocketSpec::Ocp {
+                        threads: 2,
+                        per_thread: 3,
+                    },
+                    TraceSpec::new(path(&ocp_trace)),
+                )
+                .with_clock_divisor(divisor),
+            )
+            .initiator(InitiatorSpec::new(
+                "axi",
+                SocketSpec::Axi {
+                    tags: 4,
+                    per_id: 2,
+                    total: 6,
+                },
+                TraceSpec::new(path(&axi_trace)),
+            ))
+            .initiator(
+                InitiatorSpec::new(
+                    "late",
+                    SocketSpec::avci(),
+                    TraceSpec::new(path(&late_trace)),
+                )
+                .with_clock_divisor(divisor),
+            )
+            .memory(MemorySpec::new("m0", 0x0, 0x1000, 2))
+            .memory(MemorySpec::new("m1", 0x1000, 0x2000, 4));
+        assert_streamed_equals_explicit(&format!("trace clk/{divisor}"), &spec);
     }
 }

@@ -152,7 +152,7 @@ fn program_loading_equals_building_with_programs() {
             .build(&backend)
             .expect("fixture compiles");
         let mut forked = platform.snapshot();
-        forked.load_programs(&full.programs());
+        forked.load_programs(full.programs().expect("valid spec"));
         let mut direct = full.build(&backend).expect("fixture compiles");
         assert!(forked.run_until_with(BUDGET, StepMode::Horizon), "{label}");
         assert!(direct.run_until_with(BUDGET, StepMode::Horizon), "{label}");
@@ -295,7 +295,7 @@ fn stochastic_program_loading_equals_building_with_programs() {
             .build(&backend)
             .expect("fixture compiles");
         let mut forked = platform.snapshot();
-        forked.load_programs(&full.programs());
+        forked.load_programs(full.programs().expect("valid spec"));
         let mut direct = full.build(&backend).expect("fixture compiles");
         assert!(forked.run_until_with(BUDGET, StepMode::Horizon), "{label}");
         assert!(direct.run_until_with(BUDGET, StepMode::Horizon), "{label}");
