@@ -7,7 +7,7 @@
 //!   --backend noc|bridged|bus|all   backend for plain scenario files
 //!                                   (default all; sweep files carry
 //!                                   their own backends per point)
-//!   --step dense|horizon|sharded|both  step mode; "both" runs each
+//!   --step dense|horizon|both       step mode; "both" runs each
 //!                                   simulation twice, fails unless
 //!                                   the logs, timestamps included, are
 //!                                   identical, and reports per-backend
@@ -18,14 +18,6 @@
 //!                                   sweeps (an explicit --step
 //!                                   overrides them, per-point
 //!                                   overrides included)
-//!   --shards N                      region/thread count for sharded
-//!                                   stepping; alone it implies
-//!                                   --step sharded, while with
-//!                                   --step both the differential pits
-//!                                   dense (unsharded) against the
-//!                                   N-way sharded runner — the
-//!                                   bit-identity gate CI runs on the
-//!                                   corpus
 //!   --assert-fewer-steps            with --step both: fail unless
 //!                                   horizon executed strictly fewer
 //!                                   steps than dense on every row (the
@@ -45,20 +37,6 @@
 //!                                   hotspot workloads congest); a
 //!                                   per-target latency table is printed
 //!                                   for any multi-target scenario
-//!   --assert-occupancy RATIO        fail if the sharded run's
-//!                                   epoch-occupancy ratio — the busiest
-//!                                   region's share of the epoch work,
-//!                                   printed in the occup column next to
-//!                                   polls/pops; 1/regions is a perfect
-//!                                   spread, 1.0 one region doing
-//!                                   everything — exceeds RATIO on any
-//!                                   row: the CI guard keeping the
-//!                                   balanced partitioner from
-//!                                   regressing to a lopsided cut on
-//!                                   hotspot workloads; needs a sharded
-//!                                   run, and the ratio is deterministic
-//!                                   (regions are logical, so core count
-//!                                   does not move it)
 //!   --max-cycles N                  drain budget (default 10_000_000
 //!                                   for scenario files, the file's
 //!                                   budget for sweeps)
@@ -68,7 +46,12 @@
 //! target kinds a baseline cannot model are skipped (with a note) on
 //! the backends that reject them; naming such a backend explicitly is
 //! an error. Exit status is non-zero on parse errors, failed drains and
-//! dense/horizon divergence.
+//! dense/horizon divergence; the error is printed on stderr.
+//!
+//! Sharded stepping was removed (see the README's "Why there is no
+//! parallel stepping"): `--step sharded`, `--shards N` and
+//! `--assert-occupancy RATIO`, here and on `scn serve`, fail with an
+//! error saying so instead of being ignored.
 //!
 //! `scn serve` starts the long-running service instead: requests come
 //! in as `run <id> <path>` lines on stdin and/or `*.scn` files dropped
@@ -90,10 +73,11 @@
 
 use noc_protocols::CompletionRecord;
 use noc_scenario::{
-    parse_document, Backend, Document, EpochOccupancy, ScenarioError, ScenarioSpec, StepMode, Sweep,
+    parse_document, Backend, Document, ScenarioError, ScenarioSpec, StepMode, Sweep,
 };
 use noc_stats::Table;
-use std::fmt::Write as _;
+use std::fmt::{self, Write as _};
+use std::process::ExitCode;
 
 #[derive(Clone, Copy, PartialEq)]
 enum BackendSel {
@@ -127,19 +111,37 @@ struct Options {
     /// factor above the coldest trafficked target's, on every backend —
     /// the CI guard proving the hotspot workloads actually congest.
     assert_target_spread: Option<f64>,
-    /// Fail if the sharded run's epoch-occupancy ratio (the busiest
-    /// region's share of the epoch work; lower is a better spread)
-    /// exceeds this ceiling on any row — the CI guard keeping the
-    /// balanced partitioner from regressing to a lopsided cut on
-    /// hotspot workloads. Requires a sharded run (only sharded stepping
-    /// has epochs to measure).
-    assert_occupancy: Option<f64>,
-    /// `--shards N`: region/thread count for sharded stepping. Alone it
-    /// selects sharded stepping outright; with `--step both` the
-    /// comparison becomes dense (unsharded, the reference semantics)
-    /// versus sharded — the record-for-record bit-identity gate CI runs
-    /// on the corpus.
-    shards: Option<usize>,
+}
+
+/// A command-line option or value that asked for the removed sharded
+/// runner. Its message is one line, without the usage text: the fix is
+/// to drop the option, not to learn the others.
+#[derive(Debug)]
+struct ShardingRemoved(String);
+
+impl fmt::Display for ShardingRemoved {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "{} asks for sharded stepping, which was removed (horizon stepping is the default)",
+            self.0
+        )
+    }
+}
+
+impl std::error::Error for ShardingRemoved {}
+
+/// Whether a `--step` value names the removed sharded runner.
+fn is_sharded_step(value: &str) -> bool {
+    value == "sharded" || value.starts_with("sharded(")
+}
+
+/// The error for a missing or unknown option value, usage attached.
+fn bad_value(flag: &str, value: Option<&str>, usage: &str) -> String {
+    match value {
+        Some(v) => format!("bad {flag} {v:?}\n{usage}"),
+        None => format!("{flag} needs a value\n{usage}"),
+    }
 }
 
 /// `--assert-wakeup-discipline` bound: every `next_activity` poll must
@@ -152,9 +154,11 @@ const WAKEUP_POLL_FACTOR: u64 = 4;
 const WAKEUP_POLL_SLACK: u64 = 64;
 
 fn usage() -> &'static str {
-    "usage: scn [--backend noc|bridged|bus|all] [--step dense|horizon|sharded|both] \
-     [--shards N] [--assert-fewer-steps] [--assert-wakeup-discipline] \
-     [--assert-target-spread RATIO] [--assert-occupancy RATIO] [--max-cycles N] FILE..."
+    "usage: scn [--backend noc|bridged|bus|all] [--step dense|horizon|both] \
+     [--assert-fewer-steps] [--assert-wakeup-discipline] \
+     [--assert-target-spread RATIO] [--max-cycles N] FILE...\n\
+     \x20      scn serve [--spool DIR] [--threads N] [--queue N] [--cache-cap N] \
+     [--max-cycles N] [--step dense|horizon] [--poll-ms N]"
 }
 
 fn parse_args() -> Result<Options, Box<dyn std::error::Error>> {
@@ -166,8 +170,6 @@ fn parse_args() -> Result<Options, Box<dyn std::error::Error>> {
         assert_fewer_steps: false,
         assert_wakeup_discipline: false,
         assert_target_spread: None,
-        assert_occupancy: None,
-        shards: None,
     };
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -178,25 +180,22 @@ fn parse_args() -> Result<Options, Box<dyn std::error::Error>> {
                     Some("bridged") => BackendSel::One("bridged"),
                     Some("bus") => BackendSel::One("bus"),
                     Some("all") => BackendSel::All,
-                    other => return Err(format!("bad --backend {other:?}\n{}", usage()).into()),
+                    other => return Err(bad_value("--backend", other, usage()).into()),
                 }
             }
             "--step" => {
                 opts.step = Some(match args.next().as_deref() {
                     Some("dense") => StepSel::One(StepMode::Dense),
                     Some("horizon") => StepSel::One(StepMode::Horizon),
-                    Some("sharded") => StepSel::One(StepMode::Sharded { threads: 0 }),
                     Some("both") => StepSel::Both,
-                    other => return Err(format!("bad --step {other:?}\n{}", usage()).into()),
+                    Some(v) if is_sharded_step(v) => {
+                        return Err(ShardingRemoved(format!("--step {v}")).into())
+                    }
+                    other => return Err(bad_value("--step", other, usage()).into()),
                 })
             }
-            "--shards" => {
-                let v = args.next().ok_or("--shards needs a thread count")?;
-                let n: usize = v.parse().map_err(|_| format!("bad --shards {v:?}"))?;
-                if n == 0 {
-                    return Err(format!("--shards {v:?} must be >= 1").into());
-                }
-                opts.shards = Some(n);
+            flag @ ("--shards" | "--assert-occupancy") => {
+                return Err(ShardingRemoved(flag.to_owned()).into());
             }
             "--max-cycles" => {
                 let v = args.next().ok_or("--max-cycles needs a number")?;
@@ -213,16 +212,6 @@ fn parse_args() -> Result<Options, Box<dyn std::error::Error>> {
                     return Err(format!("--assert-target-spread {v:?} must be >= 1").into());
                 }
                 opts.assert_target_spread = Some(ratio);
-            }
-            "--assert-occupancy" => {
-                let v = args.next().ok_or("--assert-occupancy needs a ratio")?;
-                let ratio: f64 = v
-                    .parse()
-                    .map_err(|_| format!("bad --assert-occupancy {v:?}"))?;
-                if !(ratio > 0.0 && ratio <= 1.0) {
-                    return Err(format!("--assert-occupancy {v:?} must be in (0, 1]").into());
-                }
-                opts.assert_occupancy = Some(ratio);
             }
             "--help" | "-h" => {
                 println!("{}", usage());
@@ -249,17 +238,6 @@ fn parse_args() -> Result<Options, Box<dyn std::error::Error>> {
         )
         .into());
     }
-    // `--shards N` fixes the thread count of sharded stepping; alone it
-    // selects sharded stepping outright (with `--step both` it instead
-    // turns the comparison into dense-unsharded vs sharded, resolved in
-    // run_spec).
-    if let Some(n) = opts.shards {
-        match &mut opts.step {
-            Some(StepSel::One(StepMode::Sharded { threads })) if *threads == 0 => *threads = n,
-            None => opts.step = Some(StepSel::One(StepMode::Sharded { threads: n })),
-            _ => {}
-        }
-    }
     Ok(opts)
 }
 
@@ -280,10 +258,6 @@ struct RunOutcome {
     steps: u64,
     polls: u64,
     pops: u64,
-    /// Sharded runs only: the epoch-occupancy counter. Deliberately
-    /// outside `compared` — like polls/pops it is stepping accounting,
-    /// not simulated behaviour.
-    occupancy: Option<EpochOccupancy>,
 }
 
 fn run_once(
@@ -304,7 +278,6 @@ fn run_once(
         steps: sim.executed_steps(),
         polls: sim.horizon_polls(),
         pops: sim.calendar_pops(),
-        occupancy: sim.report().occupancy,
     })
 }
 
@@ -386,15 +359,7 @@ fn run_spec(
 ) -> Result<Option<(Vec<String>, Vec<(String, usize, f64)>)>, Box<dyn std::error::Error>> {
     let modes: Vec<StepMode> = match step {
         StepSel::One(mode) => vec![mode],
-        // Under `--shards N` the differential pairs the dense unsharded
-        // reference against the sharded runner — the bit-identity gate.
-        StepSel::Both => vec![
-            StepMode::Dense,
-            match opts.shards {
-                Some(threads) => StepMode::Sharded { threads },
-                None => StepMode::Horizon,
-            },
-        ],
+        StepSel::Both => vec![StepMode::Dense, StepMode::Horizon],
     };
     let mut outcomes = Vec::new();
     for mode in &modes {
@@ -480,32 +445,6 @@ fn run_spec(
     } else {
         "-".to_owned()
     };
-    // Epoch occupancy exists only on sharded runs (the last outcome
-    // under Both); it sits next to polls/pops as stepping accounting.
-    let occupancy = outcomes.iter().rev().find_map(|o| o.occupancy);
-    let occ_cell = match occupancy {
-        Some(occ) => format!("{:.3}", occ.ratio()),
-        None => "-".to_owned(),
-    };
-    if let Some(ceiling) = opts.assert_occupancy {
-        let Some(occ) = occupancy else {
-            return Err(format!(
-                "{backend}: --assert-occupancy needs a sharded run \
-                 (use --step sharded or --shards N)"
-            )
-            .into());
-        };
-        if occ.ratio() > ceiling {
-            return Err(format!(
-                "{backend}: the busiest region carried {:.3} of the epoch work \
-                 over {} epochs, above the --assert-occupancy ceiling {ceiling} \
-                 — the partition is lopsided for this workload",
-                occ.ratio(),
-                occ.epochs
-            )
-            .into());
-        }
-    }
     let stats = target_stats(spec, logs);
     if let Some(ratio) = opts.assert_target_spread {
         check_target_spread(backend, &stats, ratio)?;
@@ -520,7 +459,6 @@ fn run_spec(
             steps_cell,
             ratio_cell,
             wake_cell,
-            occ_cell,
         ],
         stats,
     )))
@@ -545,7 +483,6 @@ fn run_scenario_file(
         "steps",
         "dense/horizon",
         "polls/pops",
-        "occup",
     ]);
     t.numeric();
     let mut target_rows = Vec::new();
@@ -596,7 +533,6 @@ fn run_sweep_file(sweep: &Sweep, opts: &Options) -> Result<(), Box<dyn std::erro
             "steps",
             "dense/horizon",
             "polls/pops",
-            "occup",
         ]);
         t.numeric();
         for p in sweep.points() {
@@ -662,9 +598,8 @@ fn run_sweep_file(sweep: &Sweep, opts: &Options) -> Result<(), Box<dyn std::erro
 /// word).
 fn run_serve(args: impl Iterator<Item = String>) -> Result<(), Box<dyn std::error::Error>> {
     let usage = "usage: scn serve [--spool DIR] [--threads N] [--queue N] [--cache-cap N] \
-         [--max-cycles N] [--step dense|horizon|sharded] [--shards N] [--poll-ms N]";
+         [--max-cycles N] [--step dense|horizon] [--poll-ms N]";
     let mut config = noc_serve::ServeConfig::default();
-    let mut shards: Option<usize> = None;
     let mut args = args;
     while let Some(arg) = args.next() {
         match arg.as_str() {
@@ -692,18 +627,13 @@ fn run_serve(args: impl Iterator<Item = String>) -> Result<(), Box<dyn std::erro
                 config.step_mode = match args.next().as_deref() {
                     Some("dense") => StepMode::Dense,
                     Some("horizon") => StepMode::Horizon,
-                    Some("sharded") => StepMode::Sharded { threads: 0 },
-                    other => return Err(format!("bad --step {other:?}\n{usage}").into()),
+                    Some(v) if is_sharded_step(v) => {
+                        return Err(ShardingRemoved(format!("--step {v}")).into())
+                    }
+                    other => return Err(bad_value("--step", other, usage).into()),
                 };
             }
-            "--shards" => {
-                let v = args.next().ok_or("--shards needs a thread count")?;
-                let n: usize = v.parse().map_err(|_| format!("bad --shards {v:?}"))?;
-                if n == 0 {
-                    return Err(format!("--shards {v:?} must be >= 1").into());
-                }
-                shards = Some(n);
-            }
+            "--shards" => return Err(ShardingRemoved("--shards".to_owned()).into()),
             "--poll-ms" => {
                 let v = args.next().ok_or("--poll-ms needs a number")?;
                 let ms: u64 = v.parse().map_err(|_| format!("bad --poll-ms {v:?}"))?;
@@ -715,11 +645,6 @@ fn run_serve(args: impl Iterator<Item = String>) -> Result<(), Box<dyn std::erro
             }
             other => return Err(format!("unknown serve option {other:?}\n{usage}").into()),
         }
-    }
-    // `--shards N` selects sharded stepping outright, whatever order the
-    // flags arrived in.
-    if let Some(threads) = shards {
-        config.step_mode = StepMode::Sharded { threads };
     }
     if let Some(dir) = &config.spool {
         std::fs::create_dir_all(dir).map_err(|e| format!("--spool {}: {e}", dir.display()))?;
@@ -740,7 +665,17 @@ fn run_serve(args: impl Iterator<Item = String>) -> Result<(), Box<dyn std::erro
     Ok(())
 }
 
-fn main() -> Result<(), Box<dyn std::error::Error>> {
+fn main() -> ExitCode {
+    match run() {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(e) => {
+            eprintln!("error: {e}");
+            ExitCode::FAILURE
+        }
+    }
+}
+
+fn run() -> Result<(), Box<dyn std::error::Error>> {
     let mut args = std::env::args().skip(1).peekable();
     if args.peek().map(String::as_str) == Some("serve") {
         args.next();

@@ -11,16 +11,13 @@
 //!   components schedule their next wake cycle once and the advance loop
 //!   pops the earliest instead of rescanning every component;
 //! - [`SplitMix64`], a tiny deterministic RNG used to seed all stochastic
-//!   behaviour in the workspace;
-//! - [`EpochPlanner`] / [`SpinBarrier`], the lookahead-window and
-//!   epoch-barrier primitives for conservative parallel simulation.
+//!   behaviour in the workspace.
 //!
 //! Reproducibility matters more than wall-clock speed for architecture
 //! studies: every experiment in the workspace must be replayable
-//! bit-for-bit from a seed. Stepping is therefore sequential; parallelism
-//! enters only through the conservative sharding primitives in [`pdes`],
-//! whose epoch protocol keeps results bit-identical to sequential
-//! stepping regardless of thread timing.
+//! bit-for-bit from a seed. Stepping is therefore sequential. Parallelism
+//! enters only across independent runs (sweep points and serve
+//! requests), each of which steps one simulation on one thread.
 //!
 //! # Examples
 //!
@@ -44,11 +41,9 @@
 pub mod calendar;
 pub mod clock;
 pub mod horizon;
-pub mod pdes;
 pub mod rng;
 
 pub use calendar::{Calendar, WakeId};
 pub use clock::{ClockDomain, ClockId, ClockSet};
 pub use horizon::Horizon;
-pub use pdes::{EpochPlanner, MinStamp, ParityCell, SpinBarrier};
 pub use rng::SplitMix64;

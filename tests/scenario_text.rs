@@ -316,104 +316,65 @@ fn zero_clock_divisor_is_rejected() {
 }
 
 // ---------------------------------------------------------------------
-// Sharded-partition grammar: `[config] assignment` is validated against
-// the finalized topology at parse time, so malformed region maps fail
-// with the line and column of the `assignment` entry.
+// Sharded stepping was removed: every text input that asks for it —
+// the `[config]` `shards`/`assignment` keys and the `sharded` /
+// `sharded(N)` step modes of sweep headers and points — is a typed
+// `ShardingRemoved` error located at the offending entry, never
+// silently ignored.
 // ---------------------------------------------------------------------
 
-/// A 2x2 mesh prologue plus one AHB initiator and one memory; `config`
-/// is spliced in whole so each test controls the partition knobs.
-fn assignment_scenario(config: &str) -> String {
-    format!(
-        "[topology]\nkind = \"mesh\"\nwidth = 2\nheight = 2\n\n[config]\n{config}\n\
-         [[initiator]]\nname = \"m\"\nsocket = \"ahb\"\ncmd = \"read 0x0 1x4\"\n\n\
-         [[memory]]\nname = \"a\"\nbase = 0\nend = 0x1000\nlatency = 1\n"
-    )
-}
-
 #[test]
-fn non_contiguous_assignment_reports_line_and_column() {
-    let e = parse_err(&assignment_scenario("assignment = [0, 1, 0, 1]\n"));
-    // Line 7 is the assignment entry; column 14 its value.
-    assert_eq!((e.line, e.column), (7, 14));
-    assert!(
-        matches!(e.kind, ParseErrorKind::BadValue { ref key, ref reason }
-            if key == "assignment" && reason.contains("contiguous")),
-        "{:?}",
-        e.kind
-    );
-}
-
-#[test]
-fn assignment_with_wrong_switch_count_is_rejected() {
-    let e = parse_err(&assignment_scenario("assignment = [0, 0, 1]\n"));
-    assert_eq!((e.line, e.column), (7, 14));
-    assert!(
-        matches!(e.kind, ParseErrorKind::BadValue { ref key, ref reason }
-            if key == "assignment" && reason.contains("lists 3 switches, topology has 4")),
-        "{:?}",
-        e.kind
-    );
-}
-
-#[test]
-fn assignment_region_out_of_range_is_rejected() {
-    // `shards = 2` fixes the region count; region 7 cannot exist.
-    let e = parse_err(&assignment_scenario(
-        "shards = 2\nassignment = [0, 0, 1, 7]\n",
-    ));
-    assert_eq!((e.line, e.column), (8, 14));
-    assert!(
-        matches!(e.kind, ParseErrorKind::BadValue { ref key, ref reason }
-            if key == "assignment"
-                && reason.contains("switch 3 assigned to region 7, but the run has 2 regions")),
-        "{:?}",
-        e.kind
-    );
-}
-
-#[test]
-fn assignment_disagreeing_with_shards_is_rejected() {
-    // The map uses 2 regions but the `shards` knob demands 3.
-    let e = parse_err(&assignment_scenario(
-        "shards = 3\nassignment = [0, 0, 1, 1]\n",
-    ));
-    assert_eq!((e.line, e.column), (8, 14));
-    assert!(
-        matches!(e.kind, ParseErrorKind::BadValue { ref key, ref reason }
-            if key == "assignment"
-                && reason.contains("uses 2 regions, but the run has 3 regions")),
-        "{:?}",
-        e.kind
-    );
-}
-
-/// A valid explicit assignment is a stepping knob, not a semantic one:
-/// the run must stay record-for-record bit-identical to the same
-/// scenario auto-partitioned, and to single-thread dense stepping.
-#[test]
-fn explicit_assignment_is_bit_identical_to_auto_partition() {
-    let body = "[[initiator]]\nname = \"g0\"\nsocket = \"ahb\"\nkind = \"zipf\"\nseed = 11\n\
-         commands = 60\nexponent_milli = 1500\n\n\
-         [[initiator]]\nname = \"g1\"\nsocket = \"ahb\"\nkind = \"bursty\"\nseed = 12\n\
-         commands = 60\nburst_len = 4\nidle_gap = 30\n\n\
-         [[memory]]\nname = \"a\"\nbase = 0\nend = 0x1000\nlatency = 4\n\n\
-         [[memory]]\nname = \"b\"\nbase = 0x1000\nend = 0x2000\nlatency = 2\n";
-    let prologue = "[topology]\nkind = \"mesh\"\nwidth = 2\nheight = 2\n\n";
-    let explicit = ScenarioSpec::from_text(&format!(
-        "{prologue}[config]\nshards = 2\nassignment = [0, 0, 0, 1]\n\n{body}"
-    ))
-    .expect("explicit assignment parses");
-    let auto = ScenarioSpec::from_text(&format!("{prologue}[config]\nshards = 2\n\n{body}"))
-        .expect("auto partition parses");
-    let backend = Backend::noc();
-    let dense = run(&auto, &backend, StepMode::Dense).expect("dense runs");
-    assert!(dense.0, "dense must drain");
-    for (label, spec) in [("auto", &auto), ("explicit", &explicit)] {
-        let sharded = run(spec, &backend, StepMode::Sharded { threads: 0 }).expect("sharded runs");
+fn sharding_requests_are_rejected_as_removed() {
+    let endpoints = "[[initiator]]\nname = \"m\"\nsocket = \"ahb\"\ncmd = \"read 0x0 1x4\"\n\n\
+                     [[memory]]\nname = \"a\"\nbase = 0\nend = 0x1000\nlatency = 1\n";
+    let mesh = "[topology]\nkind = \"mesh\"\nwidth = 2\nheight = 2\n\n";
+    let point = |step: &str| {
+        format!("[[sweep.point]]\nlabel = \"p\"\nbackend = \"noc\"\n{step}\n{endpoints}")
+    };
+    // (text, line, column, offending key or step value)
+    let cases = [
+        (
+            format!("{mesh}[config]\nshards = 4\n\n{endpoints}"),
+            7,
+            1,
+            "shards",
+        ),
+        (
+            format!("{mesh}[config]\nassignment = [0, 0, 1, 1]\n\n{endpoints}"),
+            7,
+            1,
+            "assignment",
+        ),
+        (
+            format!("[sweep]\nstep = \"sharded\"\n\n{}", point("")),
+            2,
+            8,
+            "sharded",
+        ),
+        (
+            format!("[sweep]\nstep = \"sharded(4)\"\n\n{}", point("")),
+            2,
+            8,
+            "sharded(4)",
+        ),
+        (point("step = \"sharded\""), 4, 8, "sharded"),
+        (point("step = \"sharded(2)\""), 4, 8, "sharded(2)"),
+    ];
+    for (text, line, column, what) in &cases {
+        let e = parse_document(text).expect_err("sharding input must be rejected");
         assert_eq!(
-            dense, sharded,
-            "{label}: sharded run diverges from the dense reference"
+            (e.line, e.column, &e.kind),
+            (
+                *line,
+                *column,
+                &ParseErrorKind::ShardingRemoved((*what).to_owned())
+            ),
+            "{text}"
+        );
+        assert!(
+            e.to_string()
+                .contains("asks for sharded stepping, which was removed"),
+            "{e}"
         );
     }
 }
