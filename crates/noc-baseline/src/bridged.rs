@@ -1,10 +1,11 @@
 //! The Fig-2 bridged interconnect baseline: a central reference-socket
 //! crossbar with per-master protocol bridges.
 
-use crate::{AttachedMaster, Interconnect, SlaveTiming};
+use crate::{AttachedMaster, SlaveTiming};
 use noc_kernel::{Calendar, Horizon, WakeId};
 use noc_protocols::memory::access;
-use noc_protocols::{CompletionLog, MemoryModel};
+use noc_protocols::{CommandSource, CompletionLog, MemoryModel};
+use noc_system::Simulation;
 use noc_transaction::{
     AddressMap, ExclusiveMonitor, MstAddr, Opcode, RespStatus, SlvAddr, TransactionRequest,
     TransactionResponse,
@@ -235,8 +236,12 @@ impl BridgedInterconnect {
     }
 }
 
-impl Interconnect for BridgedInterconnect {
-    fn load_programs(&mut self, programs: Vec<Box<dyn noc_protocols::CommandSource>>) {
+impl Simulation for BridgedInterconnect {
+    fn backend(&self) -> &'static str {
+        "bridged"
+    }
+
+    fn load_programs(&mut self, programs: Vec<Box<dyn CommandSource>>) {
         assert!(
             self.now == 0 && self.steps == 0,
             "programs can only be loaded before execution starts"
@@ -499,8 +504,11 @@ impl Interconnect for BridgedInterconnect {
                 .all(|b| b.subs.is_empty() && b.occupancy() == 0)
     }
 
-    fn logs(&self) -> Vec<&CompletionLog> {
-        self.masters.iter().map(|m| m.fe.log()).collect()
+    fn logs(&self) -> Vec<(&str, &CompletionLog)> {
+        self.masters
+            .iter()
+            .map(|m| (m.name.as_str(), m.fe.log()))
+            .collect()
     }
 
     fn now(&self) -> u64 {
@@ -544,6 +552,10 @@ impl Interconnect for BridgedInterconnect {
 
     fn skip_to(&mut self, target: u64) {
         self.now = target;
+    }
+
+    fn snapshot(&self) -> Box<dyn Simulation> {
+        Box::new(self.clone())
     }
 }
 
@@ -591,8 +603,8 @@ mod tests {
             "cpu",
             Box::new(AhbInitiator::new(AhbMaster::new(program))),
         ));
-        assert!(ic.run(20_000));
-        let recs = ic.logs()[0].records();
+        assert!(ic.run_until(20_000));
+        let recs = ic.logs()[0].1.records();
         assert_eq!(recs[0].data, recs[1].data);
     }
 
@@ -604,9 +616,9 @@ mod tests {
             "dma",
             Box::new(AhbInitiator::new(AhbMaster::new(program))),
         ));
-        assert!(ic.run(20_000));
+        assert!(ic.run_until(20_000));
         assert_eq!(ic.chopped_bursts(), 1);
-        assert_eq!(ic.logs()[0].len(), 1);
+        assert_eq!(ic.logs()[0].1.len(), 1);
     }
 
     #[test]
@@ -619,8 +631,8 @@ mod tests {
             "cpu",
             Box::new(AhbInitiator::new(AhbMaster::new(program))),
         ));
-        assert!(ic.run(20_000));
-        let lat = ic.logs()[0].records()[0].latency();
+        assert!(ic.run_until(20_000));
+        let lat = ic.logs()[0].1.records()[0].latency();
         assert!(lat >= 7, "bridged read latency {lat} must include bridges");
     }
 
@@ -637,9 +649,9 @@ mod tests {
             "b",
             Box::new(AhbInitiator::new(AhbMaster::new(m1))),
         ));
-        assert!(ic.run(20_000));
-        let l0 = ic.logs()[0].records()[0].latency();
-        let l1 = ic.logs()[1].records()[0].latency();
+        assert!(ic.run_until(20_000));
+        let l0 = ic.logs()[0].1.records()[0].latency();
+        let l1 = ic.logs()[1].1.records()[0].latency();
         // crossbar parallelism: neither waits for the other
         assert!(l0.abs_diff(l1) <= 2, "latencies {l0} vs {l1}");
     }
@@ -665,8 +677,9 @@ mod tests {
                 "video",
                 Box::new(OcpInitiator::new(OcpMaster::new(program.clone(), 2, 2))),
             ));
-            assert!(ic.run(20_000));
+            assert!(ic.run_until(20_000));
             ic.logs()[0]
+                .1
                 .records()
                 .iter()
                 .map(|r| r.completed_at)
@@ -696,8 +709,8 @@ mod tests {
             "cpu",
             Box::new(OcpInitiator::new(OcpMaster::new(program, 1, 1))),
         ));
-        assert!(ic.run(20_000));
-        let recs = ic.logs()[0].records();
+        assert!(ic.run_until(20_000));
+        let recs = ic.logs()[0].1.records();
         assert!(recs.iter().all(|r| r.status == RespStatus::ExOkay));
     }
 
@@ -720,9 +733,9 @@ mod tests {
             "cpu",
             Box::new(OcpInitiator::new(OcpMaster::new(program, 1, 1))),
         ));
-        assert!(ic.run(20_000));
+        assert!(ic.run_until(20_000));
         assert_eq!(ic.chopped_bursts(), 1);
-        let recs = ic.logs()[0].records();
+        let recs = ic.logs()[0].1.records();
         assert!(
             recs.iter().all(|r| r.status == RespStatus::ExOkay),
             "{:?}",
@@ -755,11 +768,11 @@ mod tests {
             "b",
             Box::new(OcpInitiator::new(OcpMaster::new(pair(50), 1, 1))),
         ));
-        assert!(ic.run(20_000));
+        assert!(ic.run_until(20_000));
         let verdicts: Vec<RespStatus> = ic
             .logs()
             .iter()
-            .map(|l| l.records().iter().find(|r| r.index == 1).unwrap().status)
+            .map(|(_, l)| l.records().iter().find(|r| r.index == 1).unwrap().status)
             .collect();
         assert_eq!(
             verdicts

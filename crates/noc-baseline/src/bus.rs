@@ -1,9 +1,10 @@
 //! The shared pipelined bus baseline.
 
-use crate::{AttachedMaster, Interconnect, SlaveTiming};
+use crate::{AttachedMaster, SlaveTiming};
 use noc_kernel::{Calendar, Horizon, WakeId};
 use noc_protocols::memory::access;
-use noc_protocols::{CompletionLog, MemoryModel};
+use noc_protocols::{CommandSource, CompletionLog, MemoryModel};
+use noc_system::Simulation;
 use noc_transaction::{
     AddressMap, ExclusiveMonitor, MstAddr, Opcode, RespStatus, TransactionRequest,
     TransactionResponse,
@@ -122,7 +123,7 @@ impl SharedBus {
     }
 
     /// Re-registers every event source's wakeup after a step; called on
-    /// every exit path of [`Interconnect::step`].
+    /// every exit path of [`Simulation::step`].
     fn refresh_calendar(&mut self) {
         let now = self.now;
         for (m, master) in self.masters.iter().enumerate() {
@@ -134,8 +135,12 @@ impl SharedBus {
     }
 }
 
-impl Interconnect for SharedBus {
-    fn load_programs(&mut self, programs: Vec<Box<dyn noc_protocols::CommandSource>>) {
+impl Simulation for SharedBus {
+    fn backend(&self) -> &'static str {
+        "bus"
+    }
+
+    fn load_programs(&mut self, programs: Vec<Box<dyn CommandSource>>) {
         assert!(
             self.now == 0 && self.steps == 0,
             "programs can only be loaded before execution starts"
@@ -294,8 +299,11 @@ impl Interconnect for SharedBus {
         self.busy.is_none() && self.masters.iter().all(|m| m.fe.done())
     }
 
-    fn logs(&self) -> Vec<&CompletionLog> {
-        self.masters.iter().map(|m| m.fe.log()).collect()
+    fn logs(&self) -> Vec<(&str, &CompletionLog)> {
+        self.masters
+            .iter()
+            .map(|m| (m.name.as_str(), m.fe.log()))
+            .collect()
     }
 
     fn now(&self) -> u64 {
@@ -337,6 +345,10 @@ impl Interconnect for SharedBus {
 
     fn skip_to(&mut self, target: u64) {
         self.now = target;
+    }
+
+    fn snapshot(&self) -> Box<dyn Simulation> {
+        Box::new(self.clone())
     }
 }
 
@@ -384,10 +396,10 @@ mod tests {
             SocketCommand::read(0x100, 4),
         ];
         let mut bus = bus_with(vec![program]);
-        assert!(bus.run(10_000));
+        assert!(bus.run_until(10_000));
         let logs = bus.logs();
-        assert_eq!(logs[0].len(), 2);
-        let recs = logs[0].records();
+        assert_eq!(logs[0].1.len(), 2);
+        let recs = logs[0].1.records();
         assert_eq!(recs[0].data, recs[1].data);
     }
 
@@ -395,13 +407,13 @@ mod tests {
     fn bus_serialises_masters() {
         let mk = |seed| vec![SocketCommand::write(0x100 + seed * 0x10, 4, seed)];
         let mut bus = bus_with(vec![mk(1), mk(2), mk(3)]);
-        assert!(bus.run(10_000));
+        assert!(bus.run_until(10_000));
         assert_eq!(bus.grants(), 3);
         // completions cannot overlap: end cycles strictly ordered
         let mut ends: Vec<u64> = bus
             .logs()
             .iter()
-            .map(|l| l.records()[0].completed_at)
+            .map(|(_, l)| l.records()[0].completed_at)
             .collect();
         ends.sort_unstable();
         assert!(ends.windows(2).all(|w| w[0] < w[1]));
@@ -422,8 +434,8 @@ mod tests {
             Box::new(OcpInitiator::new(OcpMaster::new(program, 2, 2))),
         ));
         bus.add_slave(0x0, MemoryModel::new(2));
-        assert!(bus.run(10_000));
-        assert_eq!(bus.logs()[0].len(), 4);
+        assert!(bus.run_until(10_000));
+        assert_eq!(bus.logs()[0].1.len(), 4);
     }
 
     #[test]
@@ -434,11 +446,11 @@ mod tests {
         ];
         let other = vec![SocketCommand::read(0x80, 4)];
         let mut bus = bus_with(vec![locker, other]);
-        assert!(bus.run(10_000));
+        assert!(bus.run_until(10_000));
         // Both finish; the locked pair is back-to-back.
         let logs = bus.logs();
-        assert_eq!(logs[0].len(), 2);
-        assert_eq!(logs[1].len(), 1);
+        assert_eq!(logs[0].1.len(), 2);
+        assert_eq!(logs[1].1.len(), 1);
     }
 
     #[test]
@@ -460,8 +472,8 @@ mod tests {
             ))),
         ));
         bus.add_slave(0x0, MemoryModel::new(1));
-        assert!(bus.run(10_000));
-        let recs = bus.logs()[0].records();
+        assert!(bus.run_until(10_000));
+        let recs = bus.logs()[0].1.records();
         assert!(recs.iter().all(|r| r.status == RespStatus::ExOkay));
     }
 
@@ -469,7 +481,7 @@ mod tests {
     fn unmapped_address_decerr() {
         let program = vec![SocketCommand::read(0xDEAD_0000, 4)];
         let mut bus = bus_with(vec![program]);
-        assert!(bus.run(10_000));
-        assert_eq!(bus.logs()[0].records()[0].status, RespStatus::DecErr);
+        assert!(bus.run_until(10_000));
+        assert_eq!(bus.logs()[0].1.records()[0].status, RespStatus::DecErr);
     }
 }

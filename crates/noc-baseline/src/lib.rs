@@ -12,13 +12,16 @@
 //!   reference socket (think BVCI), with per-master bridges that
 //!   *serialise* multi-threaded/ID traffic to one outstanding
 //!   transaction, *chop* long bursts to the reference maximum, add
-//!   request/response pipeline latency, and *emulate* exclusives by
-//!   locking the target — precisely the feature clamping the paper
-//!   blames on bridges.
+//!   request/response pipeline latency, and *emulate* exclusives in a
+//!   central monitor — precisely the feature clamping the paper blames
+//!   on bridges.
 //!
 //! Both baselines host the same [`SocketInitiator`] front ends and run
 //! the same programs as the NoC, so latency/throughput/fingerprint
-//! comparisons are apples-to-apples.
+//! comparisons are apples-to-apples. Both implement the one simulation
+//! contract, [`noc_system::Simulation`], directly: they supply stepping,
+//! their event horizon and a dead-cycle jump, and the trait's shared
+//! advance loops and report do the rest.
 
 pub mod bridged;
 pub mod bus;
@@ -27,90 +30,6 @@ pub use bridged::{BridgeConfig, BridgedInterconnect};
 pub use bus::{BusConfig, SharedBus};
 
 use noc_niu::SocketInitiator;
-use noc_protocols::{CommandSource, CompletionLog};
-
-/// Common reporting surface of the baselines.
-pub trait Interconnect {
-    /// Advances one cycle.
-    fn step(&mut self);
-    /// Returns `true` when all masters drained.
-    fn is_done(&self) -> bool;
-    /// Completion logs per master, in attachment order.
-    fn logs(&self) -> Vec<&CompletionLog>;
-    /// Cycles simulated so far.
-    fn now(&self) -> u64;
-    /// Loads one socket program per attached master (attachment order)
-    /// into an interconnect that has not started executing — the hook
-    /// scenario builds and warm-state forks load every workload through
-    /// (see `Soc::load_programs` in `noc-system`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the interconnect already stepped, or if the program
-    /// count does not match the master count.
-    fn load_programs(&mut self, programs: Vec<Box<dyn CommandSource>>);
-    /// Cycles actually stepped, excluding the cycles horizon stepping
-    /// jumped over. Dense runs execute exactly [`Interconnect::now`]
-    /// steps, so the dense/horizon ratio measures the skip win; the
-    /// default (for backends without a skip path) reports just that.
-    fn executed_steps(&self) -> u64 {
-        self.now()
-    }
-
-    /// The earliest cycle at which the interconnect's state can
-    /// possibly change, or `None` when nothing will ever happen again.
-    /// The default claims activity on every cycle — always correct, and
-    /// exactly what dense stepping assumes; backends override it with
-    /// real activity horizons so [`Interconnect::advance_to`] can skip
-    /// dead time.
-    fn next_activity(&self) -> Option<u64> {
-        Some(self.now())
-    }
-
-    /// Times [`Interconnect::next_activity`] was polled — the scan-side
-    /// wakeup-discipline counter. The default (no instrumentation)
-    /// reports 0.
-    fn horizon_polls(&self) -> u64 {
-        0
-    }
-
-    /// Calendar wakeups retired while stepping (stale entries
-    /// included). The default (no calendar) reports 0.
-    fn calendar_pops(&self) -> u64 {
-        0
-    }
-
-    /// Jumps to `target` across cycles [`Interconnect::next_activity`]
-    /// proved dead. Backends whose components keep absolute deadlines
-    /// just set `now`; the default (matching the default
-    /// `next_activity`, which never yields a future cycle) steps
-    /// densely.
-    fn skip_to(&mut self, target: u64) {
-        while self.now() < target {
-            self.step();
-        }
-    }
-
-    /// Advances until done or `horizon`, jumping over quiescent gaps
-    /// and stepping densely through active stretches.
-    fn advance_to(&mut self, horizon: u64) {
-        while self.now() < horizon && !self.is_done() {
-            match self.next_activity() {
-                Some(t) if t > self.now() => self.skip_to(t.min(horizon)),
-                Some(_) => self.step(),
-                // Nothing can ever happen again: dense stepping would
-                // burn no-op cycles to the horizon; jump in one hop.
-                None => self.skip_to(horizon),
-            }
-        }
-    }
-
-    /// Runs until done or `max_cycles` (horizon stepping).
-    fn run(&mut self, max_cycles: u64) -> bool {
-        self.advance_to(max_cycles);
-        self.is_done()
-    }
-}
 
 /// IP-side service timing of a baseline slave, beyond the backing
 /// memory's base latency.

@@ -78,7 +78,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("{t}");
     println!(
         "bridged interconnect chopped {} long bursts (feature loss)\n",
-        bridged.inner().chopped_bursts()
+        bridged.chopped_bursts()
     );
 
     println!("per-socket adaptation area (NIU vs bridge to reference socket):");

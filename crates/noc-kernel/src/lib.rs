@@ -3,8 +3,8 @@
 //! This crate is the substrate on which the rest of the workspace runs. It
 //! provides:
 //!
-//! - [`ClockDomain`] / [`ClockSet`], divisor-based clock domains so that
-//!   mixed-clock systems stay deterministic;
+//! - [`ClockDomain`], divisor-based clock domains so that mixed-clock
+//!   systems stay deterministic;
 //! - [`Horizon`], the min-combining accumulator for the absolute wake
 //!   cycles components report under quiescence-aware stepping;
 //! - [`Calendar`], the wakeup queue that inverts horizon polling:
@@ -44,6 +44,6 @@ pub mod horizon;
 pub mod rng;
 
 pub use calendar::{Calendar, WakeId};
-pub use clock::{ClockDomain, ClockId, ClockSet};
+pub use clock::ClockDomain;
 pub use horizon::Horizon;
 pub use rng::SplitMix64;

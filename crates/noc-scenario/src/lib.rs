@@ -10,8 +10,12 @@
 //! on the bridged reference-socket interconnect (Fig 2) or on a shared
 //! bus, selected by a [`Backend`] value. Node numbers and the
 //! [`noc_transaction::AddressMap`] are derived automatically from the
-//! declaration order and the declared memory regions; all three
-//! realisations are driven through one [`Simulation`] trait.
+//! declaration order and the declared memory regions. The realisations
+//! are the lower-layer types themselves — [`noc_system::Soc`],
+//! [`noc_baseline::BridgedInterconnect`] and [`noc_baseline::SharedBus`]
+//! — each implementing the one [`Simulation`] trait, which this crate
+//! re-exports from `noc-system` together with [`StepMode`] and
+//! [`ScenarioReport`].
 //!
 //! [`Sweep`] expands parameter grids (command counts, seeds, buffer
 //! depths, topologies, backends) into batched simulations for the
@@ -45,15 +49,14 @@
 //! ```
 
 pub mod program;
-pub mod sim;
 pub mod spec;
 pub mod sweep;
 pub mod text;
 
+pub use noc_system::{ScenarioReport, Simulation, StepMode};
 pub use program::{
     BurstySpec, Discipline, ProgramSpec, StochasticShape, TraceCursor, TraceSpec, ZipfSpec,
 };
-pub use sim::{BaselineSim, BridgedSim, BusSim, NocSim, ScenarioReport, Simulation, StepMode};
 pub use spec::{
     Backend, InitiatorSpec, LinkClassSpec, MemorySpec, NocConfigSpec, ScenarioError, ScenarioSpec,
     SocketSpec, TargetSpec, TopologySpec,

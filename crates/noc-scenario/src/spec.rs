@@ -3,7 +3,6 @@
 use crate::program::{
     BurstyGen, ProgramSpec, StochasticShape, TraceCursor, TraceSpec, ZipfGen, ZipfSpec,
 };
-use crate::sim::{BridgedSim, BusSim, NocSim, Simulation};
 use noc_baseline::{
     AttachedMaster, BridgeConfig, BridgedInterconnect, BusConfig, SharedBus, SlaveTiming,
 };
@@ -21,7 +20,7 @@ use noc_protocols::ocp::OcpMaster;
 use noc_protocols::strm::StrmMaster;
 use noc_protocols::vci::{VciFlavor, VciMaster};
 use noc_protocols::{CommandSource, MemoryModel, Program, ProtocolKind};
-use noc_system::{NocConfig, SocBuilder};
+use noc_system::{NocConfig, Simulation, Soc, SocBuilder};
 use noc_topology::{RouteAlgorithm, Topology, TopologyBuilder};
 use noc_transaction::{AddressMap, MstAddr, Opcode, OrderingModel, SlvAddr};
 use std::fmt;
@@ -1278,11 +1277,6 @@ impl ScenarioSpec {
         Ok(map)
     }
 
-    /// Names of all masters in node order (= log order on every backend).
-    pub fn master_names(&self) -> Vec<String> {
-        self.initiators.iter().map(|i| i.name.clone()).collect()
-    }
-
     /// The per-initiator command sources, in declaration order — what
     /// every build, and every warm fork, loads via
     /// [`Simulation::load_programs`]. Stochastic kinds target the
@@ -1361,7 +1355,7 @@ impl ScenarioSpec {
     /// # Errors
     ///
     /// Returns [`ScenarioError`] if the declaration is inconsistent.
-    pub fn build_noc(&self, mut config: NocConfig) -> Result<NocSim, ScenarioError> {
+    pub fn build_noc(&self, mut config: NocConfig) -> Result<Soc, ScenarioError> {
         let map = self.address_map()?;
         let programs = self.programs()?;
         if let Some(overrides) = &self.config {
@@ -1386,12 +1380,11 @@ impl ScenarioSpec {
             builder =
                 builder.target_clocked(&mem.name, node, mem.build_niu(node), mem.clock_divisor);
         }
-        let soc = builder.build().map_err(|e| ScenarioError::BadTopology {
+        let mut soc = builder.build().map_err(|e| ScenarioError::BadTopology {
             reason: e.to_string(),
         })?;
-        let mut sim = NocSim::new(soc);
-        sim.load_programs(programs);
-        Ok(sim)
+        soc.load_programs(programs);
+        Ok(soc)
     }
 
     /// Rejects specs that declare divided endpoint clocks, which the
@@ -1440,7 +1433,10 @@ impl ScenarioSpec {
     ///
     /// Returns [`ScenarioError`] if the declaration is inconsistent or
     /// declares divided clocks ([`ScenarioError::UnsupportedClock`]).
-    pub fn build_bridged(&self, config: BridgeConfig) -> Result<BridgedSim, ScenarioError> {
+    pub fn build_bridged(
+        &self,
+        config: BridgeConfig,
+    ) -> Result<BridgedInterconnect, ScenarioError> {
         self.reject_clocked("bridged")?;
         let map = self.address_map()?;
         let programs = self.programs()?;
@@ -1456,9 +1452,8 @@ impl ScenarioSpec {
                 mem.target.slave_timing(),
             );
         }
-        let mut sim = BridgedSim::new("bridged", ic, self.master_names());
-        sim.load_programs(programs);
-        Ok(sim)
+        ic.load_programs(programs);
+        Ok(ic)
     }
 
     /// Compiles the spec onto the shared-bus baseline.
@@ -1469,7 +1464,7 @@ impl ScenarioSpec {
     /// declares divided clocks ([`ScenarioError::UnsupportedClock`]) or
     /// declares a target kind the bus cannot model
     /// ([`ScenarioError::UnsupportedTarget`]).
-    pub fn build_bus(&self, config: BusConfig) -> Result<BusSim, ScenarioError> {
+    pub fn build_bus(&self, config: BusConfig) -> Result<SharedBus, ScenarioError> {
         self.reject_clocked("bus")?;
         self.reject_bus_targets()?;
         let map = self.address_map()?;
@@ -1485,8 +1480,7 @@ impl ScenarioSpec {
                 mem.target.slave_timing(),
             );
         }
-        let mut sim = BusSim::new("bus", bus, self.master_names());
-        sim.load_programs(programs);
-        Ok(sim)
+        bus.load_programs(programs);
+        Ok(bus)
     }
 }

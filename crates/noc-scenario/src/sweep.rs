@@ -7,8 +7,8 @@
 //! runner fans them out across OS threads and reassembles the results
 //! in declaration order.
 
-use crate::sim::{ScenarioReport, StepMode};
 use crate::spec::{Backend, ScenarioError, ScenarioSpec};
+use noc_system::{ScenarioReport, StepMode};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;

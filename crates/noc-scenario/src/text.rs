@@ -134,7 +134,6 @@
 //! ```
 
 use crate::program::{BurstySpec, Discipline, ProgramSpec, StochasticShape, TraceSpec, ZipfSpec};
-use crate::sim::StepMode;
 use crate::spec::{
     Backend, InitiatorSpec, LinkClassSpec, MemorySpec, NocConfigSpec, ScenarioError, ScenarioSpec,
     SocketSpec, TargetSpec, TopologySpec,
@@ -142,6 +141,7 @@ use crate::spec::{
 use crate::sweep::{Sweep, SweepPoint};
 use noc_protocols::vci::VciFlavor;
 use noc_protocols::SocketCommand;
+use noc_system::StepMode;
 use noc_topology::RouteAlgorithm;
 use noc_transaction::{BurstKind, Opcode, OrderingModel, StreamId};
 use std::fmt;

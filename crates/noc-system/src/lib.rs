@@ -14,6 +14,12 @@
 //! endpoint noticing (asserted by the `layering_invariance` integration
 //! suite via functional fingerprints).
 //!
+//! The crate also owns the contract every interconnect implements: the
+//! [`Simulation`] trait (stepping, the dense and horizon advance loops,
+//! checkpoints) and its backend-neutral [`ScenarioReport`]. [`Soc`]
+//! implements it here; the bridged and bus baselines implement it in
+//! `noc-baseline`.
+//!
 //! # Examples
 //!
 //! ```
@@ -21,7 +27,7 @@
 //! use noc_niu::{InitiatorNiu, InitiatorNiuConfig, MemoryTarget, TargetNiu, TargetNiuConfig};
 //! use noc_protocols::ahb::AhbMaster;
 //! use noc_protocols::{MemoryModel, SocketCommand};
-//! use noc_system::{NocConfig, SocBuilder};
+//! use noc_system::{NocConfig, Simulation, SocBuilder};
 //! use noc_topology::Topology;
 //! use noc_transaction::{AddressMap, MstAddr, SlvAddr};
 //!
@@ -39,7 +45,8 @@
 //!     .initiator("cpu", 0, Box::new(ini))
 //!     .target("mem", 1, Box::new(tgt))
 //!     .build()?;
-//! let report = soc.run(10_000);
+//! assert!(soc.run_until(10_000));
+//! let report = soc.report();
 //! assert!(report.all_done);
 //! assert_eq!(report.masters[0].completions, 1);
 //! # Ok::<(), Box<dyn std::error::Error>>(())
@@ -47,8 +54,10 @@
 
 pub mod fabric;
 pub mod report;
+pub mod sim;
 pub mod soc;
 
 pub use fabric::Fabric;
-pub use report::{FabricReport, MasterReport, SocReport};
+pub use report::{FabricReport, MasterReport, ScenarioReport};
+pub use sim::{Simulation, StepMode};
 pub use soc::{BuildError, NocConfig, Soc, SocBuilder};

@@ -1,5 +1,6 @@
 //! Simulation reports.
 
+use noc_protocols::CompletionLog;
 use noc_stats::Histogram;
 use noc_transaction::Fingerprint;
 use std::fmt;
@@ -9,8 +10,6 @@ use std::fmt;
 pub struct MasterReport {
     /// Endpoint name given at build time.
     pub name: String,
-    /// Node number.
-    pub node: u16,
     /// Completed socket commands.
     pub completions: usize,
     /// Error completions (including clean exclusive failures).
@@ -24,6 +23,22 @@ pub struct MasterReport {
 }
 
 impl MasterReport {
+    /// Summarises one master's completion log.
+    pub fn from_log(name: &str, log: &CompletionLog) -> Self {
+        let mut latency = Histogram::new();
+        for r in log.records() {
+            latency.record(r.latency());
+        }
+        MasterReport {
+            name: name.to_owned(),
+            completions: log.len(),
+            errors: log.errors(),
+            mean_latency: log.mean_latency(),
+            latency,
+            fingerprint: log.fingerprint(),
+        }
+    }
+
     /// The `q`-quantile of the latency distribution.
     pub fn latency_percentile(&self, q: f64) -> u64 {
         self.latency.percentile(q).unwrap_or(0)
@@ -66,20 +81,37 @@ pub struct FabricReport {
     pub mean_link_latency: f64,
 }
 
-/// A full simulation report.
+/// A backend-neutral simulation report: per-master results plus fabric
+/// aggregates when the backend has a fabric.
 #[derive(Debug, Clone)]
-pub struct SocReport {
+pub struct ScenarioReport {
+    /// Backend label ("noc", "bridged", "bus").
+    pub backend: &'static str,
     /// Base cycles simulated.
     pub cycles: u64,
-    /// Whether every endpoint drained.
+    /// Base cycles actually stepped (skipped cycles excluded); equals
+    /// `cycles` for dense runs, so `cycles / steps` is the horizon win.
+    pub steps: u64,
+    /// Whether every master drained.
     pub all_done: bool,
-    /// Per-master reports (build order).
+    /// Per-master reports, in declaration order.
     pub masters: Vec<MasterReport>,
-    /// Fabric aggregates.
-    pub fabric: FabricReport,
+    /// Fabric aggregates (NoC backend only).
+    pub fabric: Option<FabricReport>,
+    /// Times the advance machinery polled `next_activity` (0 for dense
+    /// runs, which never ask).
+    pub horizon_polls: u64,
+    /// Calendar wakeups retired while stepping (both modes execute the
+    /// same events, so this is mode-independent up to run length).
+    pub calendar_pops: u64,
 }
 
-impl SocReport {
+impl ScenarioReport {
+    /// Finds a master report whose name contains `fragment`.
+    pub fn master(&self, fragment: &str) -> Option<&MasterReport> {
+        self.masters.iter().find(|m| m.name.contains(fragment))
+    }
+
     /// Total completions across masters.
     pub fn total_completions(&self) -> usize {
         self.masters.iter().map(|m| m.completions).sum()
@@ -94,11 +126,14 @@ impl SocReport {
         }
     }
 
-    /// Mean latency across all masters, weighted by completions.
+    /// Mean latency across all masters, weighted by completions. With
+    /// zero completions there is no latency sample at all, so this is
+    /// `NaN` — not a fabricated `0.0`. The serve layer's JSON emitter
+    /// turns it into `null` and the `scn` tables print `-`.
     pub fn mean_latency(&self) -> f64 {
-        let total: usize = self.total_completions();
+        let total = self.total_completions();
         if total == 0 {
-            return 0.0;
+            return f64::NAN;
         }
         self.masters
             .iter()
@@ -118,28 +153,37 @@ impl SocReport {
     }
 }
 
-impl fmt::Display for SocReport {
+impl fmt::Display for ScenarioReport {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let mean = if self.total_completions() == 0 {
+            "-".to_owned()
+        } else {
+            format!("{:.1}cy", self.mean_latency())
+        };
         writeln!(
             f,
-            "SoC report: {} cycles, done={}, {} completions ({:.4}/cy), mean latency {:.1}cy",
+            "{} report: {} cycles, done={}, {} completions ({:.4}/cy), mean latency {}",
+            self.backend,
             self.cycles,
             self.all_done,
             self.total_completions(),
             self.throughput(),
-            self.mean_latency()
+            mean
         )?;
         for m in &self.masters {
             writeln!(f, "  {m}")?;
         }
-        write!(
-            f,
-            "  fabric: {} flits, {} pkts, {} credit stalls, {} conflicts, {} lock-idle",
-            self.fabric.flits_forwarded,
-            self.fabric.packets_forwarded,
-            self.fabric.credit_stalls,
-            self.fabric.arbitration_conflicts,
-            self.fabric.lock_idle_cycles
-        )
+        if let Some(fab) = &self.fabric {
+            write!(
+                f,
+                "  fabric: {} flits, {} pkts, {} credit stalls, {} conflicts, {} lock-idle",
+                fab.flits_forwarded,
+                fab.packets_forwarded,
+                fab.credit_stalls,
+                fab.arbitration_conflicts,
+                fab.lock_idle_cycles
+            )?;
+        }
+        Ok(())
     }
 }

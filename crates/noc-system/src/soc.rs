@@ -1,11 +1,12 @@
 //! The assembled SoC and its builder.
 
 use crate::fabric::Fabric;
-use crate::report::{FabricReport, MasterReport, SocReport};
-use noc_kernel::{Calendar, ClockDomain, ClockId, ClockSet, WakeId};
+use crate::report::FabricReport;
+use crate::sim::Simulation;
+use noc_kernel::{Calendar, ClockDomain, WakeId};
 use noc_niu::NocEndpoint;
 use noc_physical::LinkConfig;
-use noc_stats::Histogram;
+use noc_protocols::{CommandSource, CompletionLog};
 use noc_topology::{RouteAlgorithm, Topology, TopologyError};
 use noc_transport::SwitchMode;
 use std::cell::Cell;
@@ -138,7 +139,7 @@ struct Endpoint {
     name: String,
     node: u16,
     is_initiator: bool,
-    clock_divisor: u64,
+    clock: ClockDomain,
     inner: Box<dyn NocEndpoint>,
 }
 
@@ -176,12 +177,13 @@ impl SocBuilder {
         mut endpoint: Box<dyn NocEndpoint>,
         clock_divisor: u64,
     ) -> Self {
-        endpoint.set_clock(ClockDomain::new(clock_divisor));
+        let clock = ClockDomain::new(clock_divisor);
+        endpoint.set_clock(clock);
         self.endpoints.push(Endpoint {
             name: name.to_owned(),
             node,
             is_initiator: true,
-            clock_divisor,
+            clock,
             inner: endpoint,
         });
         self
@@ -202,12 +204,13 @@ impl SocBuilder {
         mut endpoint: Box<dyn NocEndpoint>,
         clock_divisor: u64,
     ) -> Self {
-        endpoint.set_clock(ClockDomain::new(clock_divisor));
+        let clock = ClockDomain::new(clock_divisor);
+        endpoint.set_clock(clock);
         self.endpoints.push(Endpoint {
             name: name.to_owned(),
             node,
             is_initiator: false,
-            clock_divisor,
+            clock,
             inner: endpoint,
         });
         self
@@ -244,7 +247,7 @@ impl SocBuilder {
                 return Err(BuildError::DuplicateNode { node: ep.node });
             }
             seen[node] = true;
-            divisor[node] = ep.clock_divisor;
+            divisor[node] = ep.clock.divisor();
         }
         let clock_of = |node: u16| -> u64 { divisor[node as usize] };
         // One routing pass serves both directions: the request and
@@ -263,12 +266,6 @@ impl SocBuilder {
             )
         };
         let (request, response) = (fabric(), fabric());
-        let mut clocks = ClockSet::new();
-        let clock_ids: Vec<ClockId> = self
-            .endpoints
-            .iter()
-            .map(|e| clocks.register(ClockDomain::new(e.clock_divisor)))
-            .collect();
         let num_nodes = self
             .endpoints
             .iter()
@@ -285,8 +282,6 @@ impl SocBuilder {
         let num_endpoints = self.endpoints.len();
         let mut soc = Soc {
             endpoints: self.endpoints,
-            clock_ids,
-            clocks,
             request,
             response,
             node_ep,
@@ -318,9 +313,6 @@ impl SocBuilder {
 #[derive(Clone)]
 pub struct Soc {
     endpoints: Vec<Endpoint>,
-    /// Per-endpoint clock domain, index-aligned with `endpoints`.
-    clock_ids: Vec<ClockId>,
-    clocks: ClockSet,
     request: Fabric,
     response: Fabric,
     /// Node number → index into `endpoints` (nodes are unique).
@@ -353,20 +345,41 @@ pub struct Soc {
 }
 
 impl Soc {
-    /// Current base cycle.
-    pub fn now(&self) -> u64 {
-        self.now
+    /// The endpoint's current horizon contribution: the first clock
+    /// edge at or after both `now` and its [`NocEndpoint::wake_at`]
+    /// cycle. The wake cycle is absolute, so a scheduled wakeup stays
+    /// valid however far [`Simulation::advance_to`] jumps.
+    fn endpoint_wake_at(&self, i: usize) -> Option<u64> {
+        let ep = &self.endpoints[i];
+        ep.inner
+            .wake_at()
+            .map(|t| ep.clock.next_active(t.max(self.now)))
     }
 
-    /// Base cycles actually stepped, excluding the cycles horizon
-    /// stepping jumped over — dense runs execute exactly [`Soc::now`]
-    /// steps, so the dense/horizon ratio measures the skip win.
-    pub fn executed_steps(&self) -> u64 {
-        self.steps
+    /// Re-registers endpoint `i`'s wakeup and refreshes its cached
+    /// done-ness — the invalidation hook called for every endpoint
+    /// whose state changed this cycle.
+    fn refresh_endpoint(&mut self, i: usize) {
+        let at = self.endpoint_wake_at(i);
+        self.ep_cal.set(self.ep_wake[i], at);
+        let done = self.endpoints[i].inner.is_done();
+        if done != self.done[i] {
+            self.done[i] = done;
+            if done {
+                self.not_done -= 1;
+            } else {
+                self.not_done += 1;
+            }
+        }
+    }
+}
+
+impl Simulation for Soc {
+    fn backend(&self) -> &'static str {
+        "noc"
     }
 
-    /// Advances the whole system one base cycle.
-    pub fn step(&mut self) {
+    fn step(&mut self) {
         let now = self.now;
         self.steps += 1;
         // 0. Credit returns whose registered delay has elapsed become
@@ -379,9 +392,9 @@ impl Soc {
         // endpoint's horizon (or done-ness) this cycle lands in
         // `touched`: its wakeup firing, a flit pulled from it, a flit
         // pushed into it. Clocked ticks *before* a pending wakeup are
-        // provably no-ops — the same invariance that lets
-        // [`Soc::advance_to`] jump them — so merely being clocked does
-        // not require re-registration.
+        // provably no-ops — the same invariance that lets the horizon
+        // loop jump them — so merely being clocked does not require
+        // re-registration.
         let mut touched = std::mem::take(&mut self.touched_scratch);
         touched.clear();
         self.ep_cal.pop_due(now, |id| touched.push(id.index()));
@@ -393,7 +406,7 @@ impl Soc {
         //    link — so folding injection into the tick pass reorders
         //    nothing observable versus two full passes.
         for (i, ep) in self.endpoints.iter_mut().enumerate() {
-            if !self.clocks.is_active(self.clock_ids[i], now) {
+            if !ep.clock.is_active(now) {
                 continue;
             }
             ep.inner.tick(now);
@@ -441,56 +454,26 @@ impl Soc {
         self.touched_scratch = touched;
     }
 
-    /// The endpoint's current horizon contribution: the first clock
-    /// edge at or after both `now` and its [`NocEndpoint::wake_at`]
-    /// cycle. The wake cycle is absolute, so a scheduled wakeup stays
-    /// valid however far [`Soc::advance_to`] jumps.
-    fn endpoint_wake_at(&self, i: usize) -> Option<u64> {
-        let domain = self.clocks.domain(self.clock_ids[i]);
-        self.endpoints[i]
-            .inner
-            .wake_at()
-            .map(|t| domain.next_active(t.max(self.now)))
+    fn now(&self) -> u64 {
+        self.now
     }
 
-    /// Re-registers endpoint `i`'s wakeup and refreshes its cached
-    /// done-ness — the invalidation hook called for every endpoint
-    /// whose state changed this cycle.
-    fn refresh_endpoint(&mut self, i: usize) {
-        let at = self.endpoint_wake_at(i);
-        self.ep_cal.set(self.ep_wake[i], at);
-        let done = self.endpoints[i].inner.is_done();
-        if done != self.done[i] {
-            self.done[i] = done;
-            if done {
-                self.not_done -= 1;
-            } else {
-                self.not_done += 1;
-            }
-        }
-    }
-
-    /// Returns `true` when every endpoint is done and both fabrics idle.
     /// O(1): endpoint done-ness is cached (see the `done` field) and
     /// the fabrics count their active components.
-    pub fn is_done(&self) -> bool {
+    fn is_done(&self) -> bool {
         self.not_done == 0 && self.request.is_idle() && self.response.is_idle()
     }
 
-    /// The earliest base cycle at which the system's state can possibly
-    /// change, or `None` when no component will ever act again absent
-    /// external input.
-    ///
-    /// This no longer scans components: each fabric answers in O(1)
-    /// (busy/stash sets pin it to `now`; otherwise its link calendar's
-    /// earliest scheduled arrival), and the endpoints' contribution is
-    /// the earliest wakeup they scheduled into the endpoint calendar
-    /// ([`Soc::step`] re-registers every endpoint whose horizon can
-    /// have moved). A calendar minimum may be stale — a component
-    /// rescheduled *later* and the old entry has not been retired — but
-    /// stale means early, and an early wakeup merely executes a step a
-    /// dense run executes anyway, so logs stay bit-identical.
-    pub fn next_activity(&self) -> Option<u64> {
+    /// No component scan: each fabric answers in O(1) (busy/stash sets
+    /// pin it to `now`; otherwise its link calendar's earliest scheduled
+    /// arrival), and the endpoints' contribution is the earliest wakeup
+    /// they scheduled into the endpoint calendar (each step
+    /// re-registers every endpoint whose horizon can have moved). A
+    /// calendar minimum may be stale — a component rescheduled *later*
+    /// and the old entry has not been retired — but stale means early,
+    /// and an early wakeup merely executes a step a dense run executes
+    /// anyway, so logs stay bit-identical.
+    fn next_activity(&self) -> Option<u64> {
         self.polls.set(self.polls.get() + 1);
         let mut horizon = noc_kernel::Horizon::new();
         horizon.merge(self.request.next_event_at(self.now));
@@ -499,55 +482,36 @@ impl Soc {
         horizon.earliest_from(self.now)
     }
 
-    /// Times [`Soc::next_activity`] was called — the poll-side
-    /// observability counter. With calendar stepping each poll is O(1);
-    /// the companion [`Soc::calendar_pops`] counts the wakeups that
-    /// drove those answers.
-    pub fn horizon_polls(&self) -> u64 {
+    fn skip_to(&mut self, target: u64) {
+        self.now = target;
+    }
+
+    fn executed_steps(&self) -> u64 {
+        self.steps
+    }
+
+    fn horizon_polls(&self) -> u64 {
         self.polls.get()
     }
 
-    /// Total calendar wakeups retired across the endpoint calendar and
-    /// both fabrics' link calendars.
-    pub fn calendar_pops(&self) -> u64 {
+    /// Counts the endpoint calendar and both fabrics' link calendars.
+    fn calendar_pops(&self) -> u64 {
         self.ep_cal.pops() + self.request.calendar_pops() + self.response.calendar_pops()
     }
 
-    /// Advances until done or `horizon`, jumping over quiescent gaps and
-    /// stepping densely through active stretches. Bit-identical to
-    /// stepping every cycle: every component keeps absolute deadlines,
-    /// so a jump across cycles [`Soc::next_activity`] proved dead is
-    /// just a new `now`.
-    pub fn advance_to(&mut self, horizon: u64) {
-        while self.now < horizon && !self.is_done() {
-            match self.next_activity() {
-                Some(t) if t > self.now => self.now = t.min(horizon),
-                Some(_) => self.step(),
-                // Nothing will ever happen again (deadlock with every
-                // component quiescent): dense stepping would burn no-op
-                // cycles to the horizon; jump there in one hop.
-                None => self.now = horizon,
-            }
-        }
+    /// Completion logs of the initiator endpoints (build order).
+    fn logs(&self) -> Vec<(&str, &CompletionLog)> {
+        self.endpoints
+            .iter()
+            .filter(|e| e.is_initiator)
+            .filter_map(|e| e.inner.completion_log().map(|l| (e.name.as_str(), l)))
+            .collect()
     }
 
-    /// Runs until done or `max_cycles` (horizon stepping), then reports.
-    pub fn run(&mut self, max_cycles: u64) -> SocReport {
-        self.advance_to(max_cycles);
-        self.report()
-    }
-
-    /// Loads one socket program per initiator endpoint (build order)
-    /// into a system that has not started executing. Scenario builds
-    /// load every workload, explicit or streamed, through this hook,
-    /// and warm-state forks inject a point's real workload into a
-    /// clone of a checkpointed programless SoC.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the system already stepped, or if the program count
-    /// does not match the initiator count.
-    pub fn load_programs(&mut self, programs: Vec<Box<dyn noc_protocols::CommandSource>>) {
+    /// Loads one program per initiator endpoint (build order); warm-state
+    /// forks inject a point's real workload into a clone of a
+    /// checkpointed programless SoC.
+    fn load_programs(&mut self, programs: Vec<Box<dyn CommandSource>>) {
         assert!(
             self.now == 0 && self.steps == 0,
             "programs can only be loaded before execution starts"
@@ -568,58 +532,25 @@ impl Soc {
         }
     }
 
-    /// Named completion logs of all initiator endpoints (build order).
-    pub fn completion_logs(&self) -> Vec<(&str, &noc_protocols::CompletionLog)> {
-        self.endpoints
-            .iter()
-            .filter(|e| e.is_initiator)
-            .filter_map(|e| e.inner.completion_log().map(|l| (e.name.as_str(), l)))
-            .collect()
+    fn snapshot(&self) -> Box<dyn Simulation> {
+        Box::new(self.clone())
     }
 
-    /// Builds a report from the current state.
-    pub fn report(&self) -> SocReport {
-        let masters: Vec<MasterReport> = self
-            .endpoints
-            .iter()
-            .filter(|e| e.is_initiator)
-            .filter_map(|ep| {
-                ep.inner.completion_log().map(|log| {
-                    let mut latency = Histogram::new();
-                    for r in log.records() {
-                        latency.record(r.latency());
-                    }
-                    MasterReport {
-                        name: ep.name.clone(),
-                        node: ep.node,
-                        completions: log.len(),
-                        errors: log.errors(),
-                        mean_latency: log.mean_latency(),
-                        latency,
-                        fingerprint: log.fingerprint(),
-                    }
-                })
-            })
-            .collect();
+    fn fabric_report(&self) -> Option<FabricReport> {
         let req = self.request.stats(self.now);
         let resp = self.response.stats(self.now);
-        SocReport {
-            cycles: self.now,
-            all_done: self.is_done(),
-            masters,
-            fabric: FabricReport {
-                request_flits: self.request.delivered_flits(),
-                response_flits: self.response.delivered_flits(),
-                flits_forwarded: req.flits_forwarded + resp.flits_forwarded,
-                packets_forwarded: req.packets_forwarded + resp.packets_forwarded,
-                credit_stalls: req.credit_stalls + resp.credit_stalls,
-                arbitration_conflicts: req.arbitration_conflicts + resp.arbitration_conflicts,
-                lock_idle_cycles: req.lock_idle_cycles + resp.lock_idle_cycles,
-                mean_link_latency: (self.request.mean_link_latency()
-                    + self.response.mean_link_latency())
-                    / 2.0,
-            },
-        }
+        Some(FabricReport {
+            request_flits: self.request.delivered_flits(),
+            response_flits: self.response.delivered_flits(),
+            flits_forwarded: req.flits_forwarded + resp.flits_forwarded,
+            packets_forwarded: req.packets_forwarded + resp.packets_forwarded,
+            credit_stalls: req.credit_stalls + resp.credit_stalls,
+            arbitration_conflicts: req.arbitration_conflicts + resp.arbitration_conflicts,
+            lock_idle_cycles: req.lock_idle_cycles + resp.lock_idle_cycles,
+            mean_link_latency: (self.request.mean_link_latency()
+                + self.response.mean_link_latency())
+                / 2.0,
+        })
     }
 }
 

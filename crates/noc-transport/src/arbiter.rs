@@ -7,16 +7,6 @@
 
 use std::fmt;
 
-/// An arbiter choosing among competing requesters each cycle.
-///
-/// Implementations must be *work-conserving* (grant whenever someone
-/// requests) and *deterministic*.
-pub trait Arbiter {
-    /// Chooses among `requests`, where `requests[i] = Some(pressure)` when
-    /// requester `i` wants the resource. Returns the granted index.
-    fn pick(&mut self, requests: &[Option<u8>]) -> Option<usize>;
-}
-
 /// Pressure-aware round-robin: the highest pressure class wins; within the
 /// class, grants rotate starting after the previous winner (classic
 /// round-robin pointer), so equal-pressure requesters share bandwidth
@@ -26,10 +16,13 @@ pub trait Arbiter {
 /// is the intended QoS semantics, demonstrated by the `exp_qos`
 /// experiment.
 ///
+/// The arbiter is *work-conserving* (it grants whenever someone
+/// requests) and *deterministic*.
+///
 /// # Examples
 ///
 /// ```
-/// use noc_transport::{Arbiter, RoundRobinArbiter};
+/// use noc_transport::RoundRobinArbiter;
 /// let mut arb = RoundRobinArbiter::new();
 /// // equal pressure: alternates fairly
 /// assert_eq!(arb.pick(&[Some(0), Some(0)]), Some(0));
@@ -53,10 +46,10 @@ impl RoundRobinArbiter {
     pub fn grants(&self) -> u64 {
         self.grants
     }
-}
 
-impl Arbiter for RoundRobinArbiter {
-    fn pick(&mut self, requests: &[Option<u8>]) -> Option<usize> {
+    /// Chooses among `requests`, where `requests[i] = Some(pressure)` when
+    /// requester `i` wants the resource. Returns the granted index.
+    pub fn pick(&mut self, requests: &[Option<u8>]) -> Option<usize> {
         let top = requests.iter().flatten().max()?;
         let n = requests.len();
         // Rotate starting just after the last winner (from 0 when fresh).

@@ -18,7 +18,7 @@
 //! that output — the measurable transport-level cost of READEX/LOCK that
 //! motivated the exclusive-access service bit.
 
-use crate::arbiter::{Arbiter, RoundRobinArbiter};
+use crate::arbiter::RoundRobinArbiter;
 use crate::buffer::FlitFifo;
 use crate::flit::Flit;
 use crate::routing::{PortId, RoutingTable};

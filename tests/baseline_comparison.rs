@@ -4,9 +4,9 @@
 //! paper's qualitative claims quantitatively.
 
 use noc_area::{bridge_gates, bus_gates, niu_gates, switch_gates, NiuAreaConfig};
-use noc_baseline::{BridgedInterconnect, Interconnect, SharedBus};
+use noc_baseline::{BridgedInterconnect, SharedBus};
 use noc_protocols::ProtocolKind;
-use noc_system::Soc;
+use noc_system::{ScenarioReport, Simulation, Soc};
 use noc_workloads::{SetTop, SetTopConfig};
 
 fn build_noc(cfg: SetTopConfig) -> Soc {
@@ -14,7 +14,13 @@ fn build_noc(cfg: SetTopConfig) -> Soc {
         .spec()
         .build_noc(cfg.noc)
         .expect("set-top spec is consistent")
-        .into_inner()
+}
+
+/// Runs the NoC realisation to completion and reports.
+fn run_noc(cfg: SetTopConfig) -> ScenarioReport {
+    let mut soc = build_noc(cfg);
+    soc.run_until(2_000_000);
+    soc.report()
 }
 
 fn build_bus(cfg: SetTopConfig) -> SharedBus {
@@ -22,7 +28,6 @@ fn build_bus(cfg: SetTopConfig) -> SharedBus {
         .spec()
         .build_bus(cfg.bus)
         .expect("set-top spec is consistent")
-        .into_inner()
 }
 
 fn build_bridged(cfg: SetTopConfig) -> BridgedInterconnect {
@@ -30,25 +35,15 @@ fn build_bridged(cfg: SetTopConfig) -> BridgedInterconnect {
         .spec()
         .build_bridged(cfg.bridge)
         .expect("set-top spec is consistent")
-        .into_inner()
-}
-
-fn mean_latency(logs: &[&noc_protocols::CompletionLog]) -> f64 {
-    let (mut sum, mut n) = (0.0, 0usize);
-    for log in logs {
-        sum += log.mean_latency() * log.len() as f64;
-        n += log.len();
-    }
-    sum / n as f64
 }
 
 #[test]
 fn noc_finishes_before_the_bus() {
     let cfg = SetTopConfig::new(20, 42);
-    let noc_report = build_noc(cfg).run(2_000_000);
+    let noc_report = run_noc(cfg);
     assert!(noc_report.all_done);
     let mut bus = build_bus(cfg);
-    assert!(bus.run(5_000_000));
+    assert!(bus.run_until(5_000_000));
     assert!(
         (noc_report.cycles as f64) < bus.now() as f64 * 0.8,
         "NoC ({}) must clearly beat the bus ({})",
@@ -60,10 +55,10 @@ fn noc_finishes_before_the_bus() {
 #[test]
 fn noc_latency_beats_bridged_for_concurrent_masters() {
     let cfg = SetTopConfig::new(20, 43);
-    let noc_report = build_noc(cfg).run(2_000_000);
+    let noc_report = run_noc(cfg);
     assert!(noc_report.all_done);
     let mut bridged = build_bridged(cfg);
-    assert!(bridged.run(5_000_000));
+    assert!(bridged.run_until(5_000_000));
     // DMA (AXI, 16 outstanding on the NoC, clamped to 1 behind a bridge)
     let noc_dma = noc_report
         .masters
@@ -71,7 +66,7 @@ fn noc_latency_beats_bridged_for_concurrent_masters() {
         .find(|m| m.name.contains("dma"))
         .unwrap();
     let bridged_logs = bridged.logs();
-    let bridged_dma = bridged_logs[2]; // attach order: cpu, video, dma, ...
+    let (_, bridged_dma) = bridged_logs[2]; // attach order: cpu, video, dma, ...
     assert!(
         noc_dma.mean_latency < bridged_dma.mean_latency(),
         "NoC DMA latency {:.1} must beat bridged {:.1}",
@@ -84,8 +79,8 @@ fn noc_latency_beats_bridged_for_concurrent_masters() {
 fn bridged_is_still_functionally_complete() {
     let cfg = SetTopConfig::new(15, 44);
     let mut bridged = build_bridged(cfg);
-    assert!(bridged.run(5_000_000));
-    for log in bridged.logs() {
+    assert!(bridged.run_until(5_000_000));
+    for (_, log) in bridged.logs() {
         assert_eq!(log.len(), 15);
         assert_eq!(log.errors(), 0);
     }
@@ -95,18 +90,18 @@ fn bridged_is_still_functionally_complete() {
 fn whole_system_end_times_order_noc_bridged_bus() {
     let cfg = SetTopConfig::new(20, 45);
     let noc_cycles = {
-        let r = build_noc(cfg).run(2_000_000);
+        let r = run_noc(cfg);
         assert!(r.all_done);
         r.cycles
     };
     let bridged_cycles = {
         let mut ic = build_bridged(cfg);
-        assert!(ic.run(5_000_000));
+        assert!(ic.run_until(5_000_000));
         ic.now()
     };
     let bus_cycles = {
         let mut bus = build_bus(cfg);
-        assert!(bus.run(5_000_000));
+        assert!(bus.run_until(5_000_000));
         bus.now()
     };
     assert!(
@@ -123,26 +118,26 @@ fn bridged_makespan_exceeds_noc_for_concurrent_masters() {
     // though the single-hop crossbar wins on an idle one-shot read.
     let cfg = SetTopConfig::new(20, 46);
     let mut noc = build_noc(cfg);
-    let noc_report = noc.run(2_000_000);
+    noc.run_until(2_000_000);
+    let noc_report = noc.report();
     assert!(noc_report.all_done);
     let mut bridged = build_bridged(cfg);
-    assert!(bridged.run(5_000_000));
+    assert!(bridged.run_until(5_000_000));
     let makespan = |log: &noc_protocols::CompletionLog| {
         log.records().iter().map(|r| r.completed_at).max().unwrap()
     };
-    let noc_logs = noc.completion_logs();
+    let noc_logs = noc.logs();
     let bridged_logs = bridged.logs();
     for idx in [1usize, 2] {
         // attach order: cpu=0, video=1, dma=2
         let (name, noc_log) = noc_logs[idx];
         assert!(
-            makespan(bridged_logs[idx]) > makespan(noc_log),
+            makespan(bridged_logs[idx].1) > makespan(noc_log),
             "{name}: bridged {} must exceed NoC {}",
-            makespan(bridged_logs[idx]),
+            makespan(bridged_logs[idx].1),
             makespan(noc_log)
         );
     }
-    let _ = mean_latency(&bridged_logs); // keep helper exercised
 }
 
 #[test]

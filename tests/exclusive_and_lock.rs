@@ -7,7 +7,7 @@ use noc_niu::{InitiatorNiu, InitiatorNiuConfig, MemoryTarget, TargetNiu, TargetN
 use noc_protocols::ahb::AhbMaster;
 use noc_protocols::axi::AxiMaster;
 use noc_protocols::{MemoryModel, Program, SocketCommand};
-use noc_system::{NocConfig, Soc, SocBuilder};
+use noc_system::{NocConfig, Simulation, Soc, SocBuilder};
 use noc_topology::Topology;
 use noc_transaction::{AddressMap, MstAddr, Opcode, OrderingModel, RespStatus, SlvAddr, StreamId};
 
@@ -73,13 +73,10 @@ fn exclusive_pair_succeeds_across_fabric() {
             .with_delay(10),
     ];
     let mut soc = build(sync, background(5), true);
-    let report = soc.run(500_000);
+    soc.run_until(500_000);
+    let report = soc.report();
     assert!(report.all_done);
-    let (_, log) = soc
-        .completion_logs()
-        .into_iter()
-        .find(|(n, _)| *n == "sync")
-        .unwrap();
+    let (_, log) = soc.logs().into_iter().find(|(n, _)| *n == "sync").unwrap();
     assert!(
         log.records().iter().all(|r| r.status == RespStatus::ExOkay),
         "{:?}",
@@ -102,13 +99,10 @@ fn competitor_write_breaks_reservation_across_fabric() {
     ];
     let bg = vec![SocketCommand::write(SEM + 4, 4, 9).with_delay(50)]; // same 64B granule
     let mut soc = build(sync, bg, true);
-    let report = soc.run(500_000);
+    soc.run_until(500_000);
+    let report = soc.report();
     assert!(report.all_done);
-    let (_, log) = soc
-        .completion_logs()
-        .into_iter()
-        .find(|(n, _)| *n == "sync")
-        .unwrap();
+    let (_, log) = soc.logs().into_iter().find(|(n, _)| *n == "sync").unwrap();
     let wx = log.records().iter().find(|r| r.index == 1).unwrap();
     assert_eq!(wx.status, RespStatus::ExFail, "reservation must break");
 }
@@ -119,7 +113,8 @@ fn exclusive_does_not_slow_bystanders() {
     // latency with an idle neighbour (no transport impact).
     let run_bg_latency = |sync: Program| {
         let mut soc = build(sync, background(30), true);
-        let report = soc.run(1_000_000);
+        soc.run_until(1_000_000);
+        let report = soc.report();
         assert!(report.all_done);
         report
             .masters
@@ -156,7 +151,8 @@ fn legacy_lock_throttles_bystanders() {
     // latency and the switches record lock-idle cycles.
     let run = |sync: Program| {
         let mut soc = build(sync, background(30), false);
-        let report = soc.run(1_000_000);
+        soc.run_until(1_000_000);
+        let report = soc.report();
         assert!(report.all_done, "{report}");
         let bg = report
             .masters
@@ -164,7 +160,13 @@ fn legacy_lock_throttles_bystanders() {
             .find(|m| m.name == "bg")
             .unwrap()
             .mean_latency;
-        (bg, report.fabric.lock_idle_cycles)
+        (
+            bg,
+            report
+                .fabric
+                .expect("NoC reports fabric stats")
+                .lock_idle_cycles,
+        )
     };
     let (idle_lat, _) = run(vec![]);
     let locks: Program = (0..10)
@@ -310,13 +312,10 @@ fn failed_exclusive_write_leaves_memory_untouched_across_fabric() {
             .with_delay(50),
     ];
     let mut soc = build(sync, vec![], true);
-    let report = soc.run(500_000);
+    soc.run_until(500_000);
+    let report = soc.report();
     assert!(report.all_done);
-    let (_, log) = soc
-        .completion_logs()
-        .into_iter()
-        .find(|(n, _)| *n == "sync")
-        .unwrap();
+    let (_, log) = soc.logs().into_iter().find(|(n, _)| *n == "sync").unwrap();
     let wx = log.records().iter().find(|r| r.index == 0).unwrap();
     assert_eq!(wx.status, RespStatus::ExFail);
     let rd = log.records().iter().find(|r| r.index == 1).unwrap();

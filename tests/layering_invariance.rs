@@ -15,7 +15,7 @@ use noc_protocols::ahb::AhbMaster;
 use noc_protocols::axi::AxiMaster;
 use noc_protocols::ocp::OcpMaster;
 use noc_protocols::{MemoryModel, Program, SocketCommand};
-use noc_system::{NocConfig, Soc, SocBuilder};
+use noc_system::{NocConfig, Simulation, Soc, SocBuilder};
 use noc_topology::{RouteAlgorithm, Topology};
 use noc_transaction::{
     AddressMap, BurstKind, Fingerprint, MstAddr, OrderingModel, SlvAddr, StreamId,
@@ -81,7 +81,8 @@ fn build(noc: NocConfig, n: usize) -> Soc {
 
 fn run(noc: NocConfig) -> (Vec<Fingerprint>, u64) {
     let mut soc = build(noc, 30);
-    let report = soc.run(2_000_000);
+    soc.run_until(2_000_000);
+    let report = soc.report();
     assert!(report.all_done, "config must drain: {report}");
     (
         report.masters.iter().map(|m| m.fingerprint).collect(),
@@ -172,8 +173,13 @@ fn clock_ratios_are_invisible_to_transactions() {
             .build()
             .expect("valid wiring")
     };
-    let fast = build_clocked(1).run(2_000_000);
-    let slow = build_clocked(2).run(2_000_000);
+    let run_clocked = |div: u64| {
+        let mut soc = build_clocked(div);
+        soc.run_until(2_000_000);
+        soc.report()
+    };
+    let fast = run_clocked(1);
+    let slow = run_clocked(2);
     assert!(fast.all_done && slow.all_done);
     assert_eq!(
         fast.masters[0].fingerprint, slow.masters[0].fingerprint,

@@ -11,7 +11,7 @@ use noc_protocols::axi::AxiMaster;
 use noc_protocols::checker::{check_ahb_order, check_axi_order, check_ocp_order};
 use noc_protocols::ocp::OcpMaster;
 use noc_protocols::{MemoryModel, Program, ProtocolKind, SocketCommand};
-use noc_system::{NocConfig, Soc, SocBuilder};
+use noc_system::{NocConfig, Simulation, Soc, SocBuilder};
 use noc_topology::Topology;
 use noc_transaction::{AddressMap, MstAddr, OrderingModel, SlvAddr, StreamId};
 
@@ -63,9 +63,10 @@ fn fully_ordered_master_stays_ordered_across_targets() {
         map(),
     );
     let mut soc = build_soc(Box::new(niu));
-    let report = soc.run(1_000_000);
+    soc.run_until(1_000_000);
+    let report = soc.report();
     assert!(report.all_done);
-    let (_, log) = soc.completion_logs()[0];
+    let (_, log) = soc.logs()[0];
     assert!(check_ahb_order(log).is_ok(), "AHB never reorders");
     let order: Vec<usize> = log.records().iter().map(|r| r.index).collect();
     assert_eq!(order, (0..12).collect::<Vec<_>>());
@@ -81,9 +82,10 @@ fn threaded_master_reorders_across_threads_only() {
         map(),
     );
     let mut soc = build_soc(Box::new(niu));
-    let report = soc.run(1_000_000);
+    soc.run_until(1_000_000);
+    let report = soc.report();
     assert!(report.all_done);
-    let (_, log) = soc.completion_logs()[0];
+    let (_, log) = soc.logs()[0];
     assert!(check_ocp_order(log).is_ok(), "per-thread order holds");
     assert!(
         check_ahb_order(log).is_err(),
@@ -101,9 +103,10 @@ fn id_based_master_reorders_across_ids_only() {
         map(),
     );
     let mut soc = build_soc(Box::new(niu));
-    let report = soc.run(1_000_000);
+    soc.run_until(1_000_000);
+    let report = soc.report();
     assert!(report.all_done);
-    let (_, log) = soc.completion_logs()[0];
+    let (_, log) = soc.logs()[0];
     assert!(check_axi_order(log).is_ok(), "per-ID order holds");
     assert!(
         check_ahb_order(log).is_err(),
@@ -127,7 +130,8 @@ fn outstanding_budget_trades_cycles_for_gates() {
             map(),
         );
         let mut soc = build_soc(Box::new(niu));
-        let report = soc.run(1_000_000);
+        soc.run_until(1_000_000);
+        let report = soc.report();
         assert!(report.all_done);
         cycles.push(report.cycles);
         gates.push(niu_gates(&NiuAreaConfig::new(ProtocolKind::Axi, outstanding)).total());
@@ -184,9 +188,10 @@ fn mixed_masters_share_one_fabric() {
         .target("slow", 4, Box::new(slow))
         .build()
         .expect("valid wiring");
-    let report = soc.run(1_000_000);
+    soc.run_until(1_000_000);
+    let report = soc.report();
     assert!(report.all_done, "{report}");
-    for (name, log) in soc.completion_logs() {
+    for (name, log) in soc.logs() {
         match name {
             "ahb" => assert!(check_ahb_order(log).is_ok()),
             "ocp" => assert!(check_ocp_order(log).is_ok()),

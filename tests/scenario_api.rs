@@ -2,12 +2,17 @@
 //! derivation, and the headline claim — one spec, three interconnects,
 //! identical per-master completion data.
 
-use noc_protocols::{Program, SocketCommand};
+use noc_niu::fe::AhbInitiator;
+use noc_niu::{InitiatorNiu, InitiatorNiuConfig, MemoryTarget, TargetNiu, TargetNiuConfig};
+use noc_protocols::ahb::AhbMaster;
+use noc_protocols::{MemoryModel, Program, SocketCommand};
 use noc_scenario::{
-    Backend, InitiatorSpec, MemorySpec, ScenarioError, ScenarioSpec, SocketSpec, StepMode,
-    TopologySpec,
+    Backend, InitiatorSpec, MemorySpec, ScenarioError, ScenarioSpec, Simulation, SocketSpec,
+    StepMode, TopologySpec,
 };
-use noc_transaction::BurstKind;
+use noc_system::{NocConfig, SocBuilder};
+use noc_topology::Topology;
+use noc_transaction::{AddressMap, BurstKind, MstAddr, SlvAddr};
 
 fn tiny_program(base: u64) -> Program {
     vec![
@@ -284,20 +289,55 @@ fn target_protocol_logs_are_backend_invariant() {
 #[test]
 fn reports_carry_master_names_and_fabric_stats() {
     let spec = race_free_spec();
-    let mut sim = spec.build(&Backend::noc()).expect("valid spec");
-    assert!(sim.run_until(500_000));
-    let report = sim.report();
-    assert_eq!(report.backend, "noc");
-    assert!(report.fabric.is_some(), "NoC backend reports fabric stats");
-    assert!(
-        report.master("display").is_some(),
-        "lookup by name fragment"
+    let declared: Vec<&str> = spec.initiators.iter().map(|i| i.name.as_str()).collect();
+    let idle = spec.without_programs();
+    for backend in [Backend::noc(), Backend::bridged(), Backend::bus()] {
+        let mut sim = spec.build(&backend).expect("valid spec");
+        assert!(sim.run_until(500_000), "{backend} must drain");
+        let report = sim.report();
+        assert_eq!(report.backend, backend.label());
+        let names: Vec<&str> = report.masters.iter().map(|m| m.name.as_str()).collect();
+        assert_eq!(names, declared, "{backend}: masters in declaration order");
+        assert_eq!(
+            report.fabric.is_some(),
+            report.backend == "noc",
+            "only the NoC has a fabric"
+        );
+        assert_eq!(
+            report
+                .master("display")
+                .expect("lookup by name fragment")
+                .completions,
+            12
+        );
+        // No completions, no latency sample: NaN, never a fabricated 0.
+        let mut sim = idle.build(&backend).expect("valid spec");
+        assert!(sim.run_until(500_000), "{backend}: idle spec drains");
+        let report = sim.report();
+        assert_eq!(report.total_completions(), 0);
+        assert!(report.mean_latency().is_nan(), "{backend}: {report}");
+    }
+    // The same holds for a SoC assembled without the scenario layer.
+    let mut map = AddressMap::new();
+    map.add(0x0, 0x1000, SlvAddr::new(1)).expect("valid range");
+    let cpu = InitiatorNiu::new(
+        AhbInitiator::new(AhbMaster::new(Vec::new())),
+        InitiatorNiuConfig::new(MstAddr::new(0)),
+        map,
     );
-    assert_eq!(report.master("display").unwrap().completions, 12);
-    let mut bus = spec.build(&Backend::bus()).expect("valid spec");
-    assert!(bus.run_until(500_000));
-    assert!(bus.report().fabric.is_none(), "bus has no fabric");
-    assert_eq!(bus.report().master("io").unwrap().completions, 12);
+    let mem = TargetNiu::new(
+        MemoryTarget::new(MemoryModel::new(2), 4),
+        TargetNiuConfig::new(SlvAddr::new(1)),
+    );
+    let mut soc = SocBuilder::new(Topology::crossbar(2), NocConfig::new())
+        .initiator("cpu", 0, Box::new(cpu))
+        .target("mem", 1, Box::new(mem))
+        .build()
+        .expect("valid wiring");
+    assert!(soc.run_until(1_000));
+    let report = soc.report();
+    assert_eq!(report.masters[0].completions, 0);
+    assert!(report.mean_latency().is_nan(), "{report}");
 }
 
 #[test]
@@ -394,8 +434,8 @@ fn horizon_stepping_matches_dense_on_sparse_workloads() {
 }
 
 /// Mixed endpoint clocks: the horizon computation must respect every
-/// divided clock's edge grid (via the kernel `ClockSet`), so divided
-/// NIUs stay bit-identical too.
+/// divided clock's edge grid (each endpoint's kernel `ClockDomain`), so
+/// divided NIUs stay bit-identical too.
 #[test]
 fn horizon_stepping_matches_dense_under_divided_clocks() {
     let mut spec = race_free_spec();
